@@ -24,7 +24,6 @@ from repro.experiments.runner import run_experiment
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.report import format_table
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
 
 from _util import HORIZON_S
@@ -46,15 +45,13 @@ def run_envelope(enable_shrink: bool, queue_length: int = 100):
         block_mb=BLOCK,
     )
     catalog = build_catalog(spec, 10, CAPACITY)
-    jukebox = Jukebox.build()
     source = ClosedSource(
         queue_length, HotColdSkew(70.0), catalog, random.Random(42)
     )
     simulator = JukeboxSimulator(
         env=Environment(),
-        jukebox=jukebox,
         catalog=catalog,
-        scheduler=EnvelopeScheduler(MaxBandwidth(), enable_shrink=enable_shrink),
+        scheduler_factory=lambda: EnvelopeScheduler(MaxBandwidth(), enable_shrink=enable_shrink),
         source=source,
         metrics=MetricsCollector(block_mb=BLOCK, warmup_s=HORIZON_S * 0.1),
     )
@@ -125,9 +122,8 @@ def test_ablation_sweep_vs_nearest_neighbor(benchmark, capsys):
         )
         simulator = JukeboxSimulator(
             env=Environment(),
-            jukebox=Jukebox.build(),
             catalog=catalog,
-            scheduler=DynamicScheduler(MaxBandwidth(), ordering=ordering),
+            scheduler_factory=lambda: DynamicScheduler(MaxBandwidth(), ordering=ordering),
             source=ClosedSource(140, _Skew(40.0), catalog, random.Random(42)),
             metrics=MetricsCollector(block_mb=BLOCK, warmup_s=HORIZON_S * 0.1),
         )

@@ -15,7 +15,7 @@ from repro.core import make_scheduler
 from repro.des import Environment
 from repro.layout import PlacementSpec, build_catalog
 from repro.report import format_table
-from repro.service import MetricsCollector, MultiDriveSimulator
+from repro.service import JukeboxSimulator, MetricsCollector
 from repro.workload import ClosedSource, HotColdSkew
 
 from _util import HORIZON_S
@@ -30,7 +30,7 @@ def run_with_drives(drive_count: int):
         PlacementSpec(percent_hot=10, block_mb=BLOCK), 10, CAPACITY
     )
     source = ClosedSource(QUEUE, HotColdSkew(40.0), catalog, random.Random(17))
-    simulator = MultiDriveSimulator(
+    simulator = JukeboxSimulator(
         env=Environment(),
         catalog=catalog,
         source=source,

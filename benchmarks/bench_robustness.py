@@ -33,7 +33,7 @@ from repro.faults import FaultConfig, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.report import format_table
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.tape import EXB_8505XL, Jukebox, NoisyTimingModel, RobotArm, TapeDrive, TapePool
+from repro.tape import EXB_8505XL, NoisyTimingModel
 from repro.workload import ClosedSource, HotColdSkew
 
 from _util import HORIZON_S
@@ -143,17 +143,11 @@ def _run_noisy(scheduler_name: str, seed: int):
     timing = NoisyTimingModel(
         EXB_8505XL, random.Random(seed), locate_amplitude=0.02, read_amplitude=0.10
     )
-    pool = TapePool.uniform(10, 7 * 1024.0)
-    jukebox = Jukebox(
-        pool=pool,
-        drive=TapeDrive(timing=timing),
-        robot=RobotArm(timing=timing, slot_count=10),
-    )
     simulator = JukeboxSimulator(
         env=Environment(),
-        jukebox=jukebox,
         catalog=catalog,
-        scheduler=make_scheduler(scheduler_name),
+        timing=timing,
+        scheduler_factory=lambda: make_scheduler(scheduler_name),
         source=ClosedSource(60, HotColdSkew(40.0), catalog, random.Random(seed + 1)),
         metrics=MetricsCollector(block_mb=16.0, warmup_s=HORIZON_S * 0.1),
     )

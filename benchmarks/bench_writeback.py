@@ -18,7 +18,6 @@ from repro.layout import PlacementSpec, build_catalog
 from repro.report import format_table
 from repro.service import MetricsCollector
 from repro.service.writeback import WritebackSimulator
-from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
 
 from _util import HORIZON_S
@@ -30,9 +29,8 @@ def run_with_writes(write_interarrival_s):
     catalog = build_catalog(PlacementSpec(percent_hot=10, block_mb=BLOCK), 10, 7 * 1024.0)
     simulator = WritebackSimulator(
         env=Environment(),
-        jukebox=Jukebox.build(),
         catalog=catalog,
-        scheduler=make_scheduler("dynamic-max-bandwidth"),
+        scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
         source=ClosedSource(60, HotColdSkew(40.0), catalog, random.Random(21)),
         metrics=MetricsCollector(block_mb=BLOCK, warmup_s=HORIZON_S * 0.1),
         write_interarrival_s=write_interarrival_s,

@@ -26,7 +26,6 @@ from repro.hierarchy.simulator import _TapeOnlySource
 from repro.layout import PlacementSpec, build_catalog
 from repro.report import format_table
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.tape import Jukebox
 from repro.workload import HotColdSkew
 
 BLOCK_MB = 16.0
@@ -39,9 +38,8 @@ def build_hierarchy(memory_blocks: int, disk_blocks: int) -> HierarchySimulator:
     )
     tape = JukeboxSimulator(
         env=Environment(),
-        jukebox=Jukebox.build(),
         catalog=catalog,
-        scheduler=make_scheduler("dynamic-max-bandwidth"),
+        scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
         source=_TapeOnlySource(),
         metrics=MetricsCollector(block_mb=BLOCK_MB),
     )

@@ -21,7 +21,6 @@ from repro.des import Environment
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.report import format_table
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
 from repro.workload.trace import ClosedReplaySource, TraceRecorder
 
@@ -44,9 +43,8 @@ def build_catalog_for_run():
 def simulate(catalog, scheduler_name, source, horizon_s):
     simulator = JukeboxSimulator(
         env=Environment(),
-        jukebox=Jukebox.build(),
         catalog=catalog,
-        scheduler=make_scheduler(scheduler_name),
+        scheduler_factory=lambda: make_scheduler(scheduler_name),
         source=source,
         metrics=MetricsCollector(block_mb=BLOCK_MB, warmup_s=horizon_s * 0.1),
     )

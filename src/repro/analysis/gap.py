@@ -70,9 +70,10 @@ class GapScenario:
     def supports(self, scheduler: str) -> bool:
         """Whether ``scheduler`` can run in this scenario.
 
-        Multi-drive service rejects the envelope family (extension
-        passes assume one head; see repro.service.multidrive), so
-        envelope schedulers are skipped on ``drive_count > 1``.
+        The envelope family is single-drive — ``drive_count == 1`` —
+        because its extension passes assume one head, and
+        :class:`~repro.service.JukeboxSimulator` refuses it when
+        ``drive_count > 1``; such scenarios skip envelope schedulers.
         """
         if self.config.drive_count > 1 and scheduler.startswith("envelope"):
             return False

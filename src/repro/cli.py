@@ -29,7 +29,7 @@ from .core.registry import scheduler_names
 from .experiments.config import ExperimentConfig
 from .experiments.figures import FIGURES
 from .layout.placement import Layout
-from .report.text import format_figure
+from .report.text import format_drive_spans, format_figure
 
 
 def _campaign_parent() -> argparse.ArgumentParser:
@@ -301,7 +301,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=0,
         metavar="N",
-        help="print the first N drive operations after the run",
+        help="print the first N drive spans (any drive count) after the run",
     )
 
     sweep_parser = subparsers.add_parser(
@@ -944,18 +944,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     config = _config_from_args(args)
     if args.trace > 0:
-        from .experiments.runner import build_simulator
-        from .service.oplog import OperationLog
+        from .obs import Tracer
 
-        simulator = build_simulator(config)
-        if not hasattr(simulator, "oplog"):
-            raise SystemExit("--trace is only supported for single-drive runs")
-        log = OperationLog(capacity=args.trace)
-        simulator.oplog = log
-        report = simulator.run(config.horizon_s)
-        print(config.describe())
-        print(report)
-        print(log.format(limit=args.trace))
+        tracer = Tracer(max_drive_spans=args.trace)
+        result = run(config, obs=tracer)
+        print(result.config.describe())
+        print(result.report)
+        print(format_drive_spans(tracer, limit=args.trace))
         return 0
 
     if args.profile:

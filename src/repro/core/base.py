@@ -32,9 +32,9 @@ class SchedulerContext:
     #: simulator shares the injector's live set here, so schedulers (and
     #: the masked pending-list view) always see the current mask.
     masked_tapes: Set[int] = field(default_factory=set)
-    #: Drives serving this pending pool (1 except under the multi-drive
-    #: service).  Cost-model schedulers use it to discount deferral:
-    #: requests this drive defers are drained concurrently by the others.
+    #: Drives serving this pending pool (1 for the paper's jukebox).
+    #: Cost-model schedulers use it to discount deferral: requests this
+    #: drive defers are drained concurrently by the others.
     drive_count: int = 1
 
     def tape_available(self, tape_id: int) -> bool:

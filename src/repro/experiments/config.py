@@ -47,8 +47,8 @@ class ExperimentConfig:
     #: "helical" = the paper's single-pass EXB-8505XL model;
     #: "serpentine" = the DLT-style extension model (see repro.tape.serpentine).
     drive_technology: str = "helical"
-    #: Drives per jukebox; > 1 selects the multi-drive extension
-    #: (static/dynamic/fifo schedulers only — see repro.service.multidrive).
+    #: Drives per jukebox; > 1 runs the multi-drive extension (no
+    #: envelope schedulers — see repro.service.simulator).
     drive_count: int = 1
     #: Zipf skew exponent; when set, replaces the hot/cold RH model
     #: (theta = 0 is uniform; ~0.8-1.2 is web/video-like).

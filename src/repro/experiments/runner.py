@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 from ..core.registry import make_scheduler
@@ -16,7 +16,6 @@ from ..obs.tracer import Tracer
 from ..qos.manager import QoSManager
 from ..service.metrics import MetricsCollector, MetricsReport
 from ..service.simulator import JukeboxSimulator
-from ..tape.jukebox import Jukebox
 from ..tape.timing import EXB_8505XL
 from ..workload.closed import ClosedSource
 from ..workload.open import OpenSource
@@ -131,35 +130,16 @@ def build_simulator(
     if config.qos is not None and config.qos.enabled:
         qos = QoSManager(config.qos, env, metrics)
 
-    if config.drive_count > 1:
-        from ..service.multidrive import MultiDriveSimulator
-
-        return MultiDriveSimulator(
-            env=env,
-            catalog=catalog,
-            source=source,
-            metrics=metrics,
-            scheduler_factory=lambda: make_scheduler(config.scheduler),
-            drive_count=config.drive_count,
-            tape_count=config.tape_count,
-            capacity_mb=config.capacity_mb,
-            timing=timing,
-            faults=faults,
-            qos=qos,
-            obs=obs,
-        )
-
-    jukebox = Jukebox.build(
-        tape_count=config.tape_count, capacity_mb=config.capacity_mb, timing=timing
-    )
-    scheduler = make_scheduler(config.scheduler)
     return JukeboxSimulator(
         env=env,
-        jukebox=jukebox,
         catalog=catalog,
-        scheduler=scheduler,
         source=source,
         metrics=metrics,
+        scheduler_factory=partial(make_scheduler, config.scheduler),
+        drive_count=config.drive_count,
+        tape_count=config.tape_count,
+        capacity_mb=config.capacity_mb,
+        timing=timing,
         faults=faults,
         qos=qos,
         obs=obs,

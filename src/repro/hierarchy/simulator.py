@@ -81,7 +81,7 @@ class HierarchySimulator:
             )
         self.tape = jukebox_simulator
         self.env: Environment = jukebox_simulator.env
-        self.catalog: BlockCatalog = jukebox_simulator.context.catalog
+        self.catalog: BlockCatalog = jukebox_simulator.catalog
         self.memory_cache = LRUCache(memory_blocks)
         self.disk_cache = LRUCache(disk_blocks)
         self.skew = skew

@@ -198,3 +198,33 @@ def format_trace_summary(summary) -> str:
         )
 
     return "\n".join(blocks)
+
+
+def format_drive_spans(tracer, limit: int = 50) -> str:
+    """Render the first ``limit`` drive spans of a traced run, one a line.
+
+    Each line gives the span's start, drive, kind, and duration, then
+    where it happened (tape, head position, block) and any detail.
+    Spans past ``limit``, or dropped by the tracer's span capacity, are
+    summarized in a final ``... N more`` line.
+    """
+    spans = tracer.drive_spans
+    lines = []
+    for span in spans[:limit]:
+        where = ""
+        if span.tape_id is not None:
+            where = f" tape={span.tape_id}"
+        if span.position_mb is not None:
+            where += f" pos={span.position_mb:g}MB"
+        if span.block_id is not None:
+            where += f" block={span.block_id}"
+        if span.detail is not None:
+            where += f" [{span.detail}]"
+        lines.append(
+            f"{span.start_s:12.2f}s  drive {span.drive}  {span.kind:7s}"
+            f"{span.duration_s:9.2f}s{where}"
+        )
+    more = max(0, len(spans) - limit) + tracer.dropped_drive_spans
+    if more:
+        lines.append(f"... {more} more")
+    return "\n".join(lines)

@@ -2,8 +2,6 @@
 
 from .metrics import KB, MB, MetricsCollector, MetricsReport
 from .farm import FarmConfig, FarmReport, FarmResult, run_farm
-from .multidrive import MultiDriveSimulator
-from .oplog import OpKind, Operation, OperationLog
 from .rollup import ReportRollup, merge_reports, report_registry
 from .simulator import JukeboxSimulator
 from .writeback import DeltaBuffer, WritebackSimulator
@@ -21,10 +19,6 @@ __all__ = [
     "MB",
     "MetricsCollector",
     "MetricsReport",
-    "MultiDriveSimulator",
-    "OpKind",
-    "Operation",
-    "OperationLog",
     "WritebackSimulator",
     "run_farm",
 ]

@@ -8,7 +8,7 @@ mechanism:
 * a :class:`DeltaBuffer` stages dirty logical blocks on disk — one
   pending write item per physical copy (a replicated block is clean
   only when every copy has been rewritten);
-* a :class:`WritebackSimulator` extends the service loop so that
+* a :class:`WritebackSimulator` hooks into the one service loop so that
 
   - each read sweep is **piggybacked** with the staged writes destined
     for the mounted tape (they join the same forward/reverse sweep, so
@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.sweep import ServiceEntry, ServiceList
+from ..core.base import MajorDecision
+from ..core.sweep import ServiceEntry
 from ..layout.catalog import BlockCatalog
 from ..stats import RunningStats
-from ..workload.requests import Request
 from .simulator import JukeboxSimulator
 
 
@@ -120,7 +120,7 @@ class WritebackSimulator(JukeboxSimulator):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self.delta = DeltaBuffer(catalog=self.context.catalog)
+        self.delta = DeltaBuffer(catalog=self.catalog_view)
         self.write_interarrival_s = write_interarrival_s
         self.write_rng = write_rng
         self.piggyback = piggyback
@@ -145,88 +145,52 @@ class WritebackSimulator(JukeboxSimulator):
                 return
             yield delay
             if skew is not None:
-                block_id = skew.draw_block(self.write_rng, self.context.catalog)
+                block_id = skew.draw_block(self.write_rng, self.catalog_view)
             else:
-                block_id = self.write_rng.randrange(self.context.catalog.n_blocks)
+                block_id = self.write_rng.randrange(self.catalog_view.n_blocks)
             self.delta.stage(block_id, self.env.now)
-            if self._wakeup is not None and not self._wakeup.triggered:
-                self._wakeup.succeed()
+            self._wake_idle_drives()
 
     # ------------------------------------------------------------------
-    def _drive_process(self):
-        """The four-step loop, with write piggybacking and idle flushes."""
-        context = self.context
-        block_mb = context.catalog.block_mb
-        while True:
-            while len(context.pending) == 0:
-                if self.idle_flush and len(self.delta) > 0:
-                    yield from self._flush_sweep(block_mb)
-                    if len(context.pending) > 0:
-                        break
-                    continue
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                self._wakeup = None
-            if len(context.pending) == 0:
-                continue
+    # Service-loop hooks
+    # ------------------------------------------------------------------
+    def _sweep_entries(self, decision: MajorDecision) -> List[ServiceEntry]:
+        """Piggyback the staged writes for the sweep's tape."""
+        if not self.piggyback:
+            return decision.entries
+        scheduled_blocks = {entry.block_id for entry in decision.entries}
+        writes = [
+            _WriteEntry(item)
+            for item in self.delta.items_for_tape(decision.tape_id)
+            # A read of the same block passes the copy anyway.
+            if item.block_id not in scheduled_blocks
+        ]
+        self.piggybacked_writes += len(writes)
+        return decision.entries + writes
 
-            decision = self.scheduler.major_reschedule(context)
-            if decision is None:  # pragma: no cover - pending non-empty
-                continue
-
-            switching = decision.tape_id != self.jukebox.mounted_id
-            start_head = 0.0 if switching else self.jukebox.head_mb
-            entries: List[ServiceEntry] = list(decision.entries)
-            if self.piggyback:
-                scheduled_blocks = {entry.block_id for entry in entries}
-                for item in self.delta.items_for_tape(decision.tape_id):
-                    if item.block_id in scheduled_blocks:
-                        continue  # a read of the same block passes anyway
-                    entries.append(_WriteEntry(item))
-                    self.piggybacked_writes += 1
-            service = ServiceList(entries, head_mb=start_head)
-            context.service = service
-            if switching:
-                duration = self.jukebox.switch_to(decision.tape_id)
-                yield self._timed(duration)
-                self.metrics.on_tape_switch(self.env.now)
-
-            yield from self._execute_sweep(service, block_mb)
-            context.service = None
-            self.scheduler.on_sweep_complete(context)
-
-    def _execute_sweep(self, service: ServiceList, block_mb: float):
-        while not service.is_empty:
-            entry = service.pop_next()
-            duration = self.jukebox.access(entry.position_mb, block_mb)
-            yield self._timed(duration)
-            service.finish_in_flight()
-            if isinstance(entry, _WriteEntry):
-                self.delta.complete(entry.write_item, self.env.now)
-                continue
-            for request in entry.requests:
-                self.metrics.on_completion(request, self.env.now)
-                if self.source.is_closed:
-                    replacement = self.source.on_completion(self.env.now)
-                    if replacement is not None:
-                        self.submit(replacement)
-
-    def _flush_sweep(self, block_mb: float):
-        """Idle-time write sweep on the most write-laden tape."""
-        backlog = self.delta.backlog_by_tape()
+    def _idle_sweep(self, drive_index: int) -> Optional[MajorDecision]:
+        """Idle-time write sweep on the most write-laden unclaimed tape."""
+        if not self.idle_flush:
+            return None
+        backlog = {
+            tape_id: count
+            for tape_id, count in self.delta.backlog_by_tape().items()
+            if self.claims.get(tape_id, drive_index) == drive_index
+        }
         if not backlog:
-            return
+            return None
         tape_id = max(sorted(backlog), key=backlog.get)
-        items = self.delta.items_for_tape(tape_id)
-        switching = tape_id != self.jukebox.mounted_id
-        start_head = 0.0 if switching else self.jukebox.head_mb
-        service = ServiceList([_WriteEntry(item) for item in items], head_mb=start_head)
-        self.context.service = service
         self.idle_flush_sweeps += 1
-        if switching:
-            duration = self.jukebox.switch_to(tape_id)
-            yield self._timed(duration)
-            self.metrics.on_tape_switch(self.env.now)
-        yield from self._execute_sweep(service, block_mb)
-        self.context.service = None
-        self.scheduler.on_sweep_complete(self.context)
+        return MajorDecision(
+            tape_id=tape_id,
+            entries=[_WriteEntry(item) for item in self.delta.items_for_tape(tape_id)],
+        )
+
+    def _deliver(
+        self, entry: ServiceEntry, service_s: float, locate_s: float = 0.0
+    ) -> None:
+        """A write entry hardens its copy; a read completes its requests."""
+        if isinstance(entry, _WriteEntry):
+            self.delta.complete(entry.write_item, self.env.now)
+        else:
+            super()._deliver(entry, service_s, locate_s)

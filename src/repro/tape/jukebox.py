@@ -86,13 +86,3 @@ class Jukebox:
     def access(self, position_mb: float, size_mb: float) -> float:
         """Locate + read on the mounted tape; return the duration."""
         return self.drive.access(position_mb, size_mb)
-
-    def unload_for_repair(self) -> None:
-        """Pull the mounted cartridge during a drive repair (untimed).
-
-        The drive comes back empty and the cartridge returns to its
-        slot, keeping drive and robot state consistent for the next
-        :meth:`switch_to`.
-        """
-        self.drive.force_unload()
-        self.robot.return_to_slot()

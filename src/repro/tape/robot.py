@@ -44,14 +44,3 @@ class RobotArm:
         self.in_drive = load_tape_id
         self.swaps += 1
         return self.timing.robot_swap_s
-
-    def return_to_slot(self) -> None:
-        """Put the drive's cartridge back in its slot, untimed.
-
-        Fault-recovery path: the repair technician, not the arm, moves
-        the cartridge, so no arm motion is charged.  No-op when the
-        drive is empty.
-        """
-        if self.in_drive is not None:
-            self.in_slots.add(self.in_drive)
-            self.in_drive = None

@@ -97,7 +97,6 @@ class TestSchedulerIntegration:
         from repro.des import Environment
         from repro.layout import PlacementSpec, build_catalog
         from repro.service import JukeboxSimulator, MetricsCollector
-        from repro.tape import Jukebox
         from repro.workload import ClosedSource, HotColdSkew
 
         catalog = build_catalog(PlacementSpec(percent_hot=10), 10, 7 * 1024.0)
@@ -105,9 +104,8 @@ class TestSchedulerIntegration:
         def run(ordering):
             simulator = JukeboxSimulator(
                 env=Environment(),
-                jukebox=Jukebox.build(),
                 catalog=catalog,
-                scheduler=DynamicScheduler(MaxBandwidth(), ordering=ordering),
+                scheduler_factory=lambda: DynamicScheduler(MaxBandwidth(), ordering=ordering),
                 source=ClosedSource(60, HotColdSkew(40.0), catalog, random.Random(3)),
                 metrics=MetricsCollector(block_mb=16.0, warmup_s=3_000.0),
             )

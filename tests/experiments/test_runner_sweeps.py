@@ -32,7 +32,7 @@ class TestRunner:
 
     def test_build_simulator_validates_layout(self):
         simulator = build_simulator(ExperimentConfig(replicas=9, **FAST))
-        assert simulator.context.catalog.n_hot > 0
+        assert simulator.catalog.n_hot > 0
 
     def test_drive_speedup_improves_throughput(self):
         slow = run_experiment(ExperimentConfig(**FAST))

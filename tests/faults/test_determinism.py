@@ -7,8 +7,8 @@ from repro.des import Environment
 from repro.faults import FaultConfig, FaultInjector
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.service.oplog import OperationLog
-from repro.tape import EXB_8505XL, Jukebox, NoisyTimingModel, RobotArm, TapeDrive, TapePool
+from repro.obs import Tracer
+from repro.tape import EXB_8505XL, NoisyTimingModel
 
 HORIZON = 20_000.0
 
@@ -25,11 +25,6 @@ def run_noisy_faulted(workload_seed, noise_seed, fault_seed):
         locate_amplitude=0.02,
         read_amplitude=0.10,
     )
-    jukebox = Jukebox(
-        pool=TapePool.uniform(4, 1000.0),
-        drive=TapeDrive(timing=timing),
-        robot=RobotArm(timing=timing, slot_count=4),
-    )
     faults = FaultInjector(
         FaultConfig(
             media_error_rate=0.05,
@@ -41,23 +36,25 @@ def run_noisy_faulted(workload_seed, noise_seed, fault_seed):
         ),
         catalog,
     )
-    log = OperationLog()
+    tracer = Tracer()
     from repro.workload import ClosedSource, HotColdSkew
 
     simulator = JukeboxSimulator(
         env=Environment(),
-        jukebox=jukebox,
         catalog=catalog,
-        scheduler=make_scheduler("dynamic-max-bandwidth"),
         source=ClosedSource(
             12, HotColdSkew(80.0), catalog, random.Random(workload_seed)
         ),
         metrics=MetricsCollector(block_mb=16.0, warmup_s=0.0),
-        oplog=log,
+        scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
+        tape_count=4,
+        capacity_mb=1000.0,
+        timing=timing,
         faults=faults,
+        obs=tracer,
     )
     report = simulator.run(HORIZON)
-    return report, list(log)
+    return report, tracer.drive_spans + tracer.events
 
 
 class TestDeterministicSeeding:

@@ -6,7 +6,7 @@ from repro.core import make_scheduler
 from repro.des import Environment
 from repro.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
-from repro.service import MetricsCollector, MultiDriveSimulator
+from repro.service import JukeboxSimulator, MetricsCollector
 from repro.workload import ClosedSource, HotColdSkew, OpenSource
 
 HORIZON = 40_000.0
@@ -30,7 +30,7 @@ def make_simulator(fault_config=None, drive_count=2, replicas=2, closed=True):
         if fault_config is not None
         else None
     )
-    return MultiDriveSimulator(
+    return JukeboxSimulator(
         env=Environment(),
         catalog=catalog,
         source=source,

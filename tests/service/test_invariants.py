@@ -10,7 +10,6 @@ from repro.core import make_scheduler, scheduler_names
 from repro.des import Environment
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew
 
 TAPES = 10
@@ -29,28 +28,28 @@ def run_instrumented(scheduler_name, layout, replicas, start_position, skew, see
         block_mb=BLOCK,
     )
     catalog = build_catalog(spec, TAPES, CAPACITY)
-    jukebox = Jukebox.build(tape_count=TAPES)
     source = ClosedSource(
         queue_length, HotColdSkew(skew), catalog, random.Random(seed)
     )
     metrics = MetricsCollector(block_mb=BLOCK)
     simulator = JukeboxSimulator(
         env=Environment(),
-        jukebox=jukebox,
         catalog=catalog,
-        scheduler=make_scheduler(scheduler_name),
+        scheduler_factory=lambda: make_scheduler(scheduler_name),
+        tape_count=TAPES,
         source=source,
         metrics=metrics,
     )
+    drive = simulator.drives[0]
 
     reads = []
-    original_access = jukebox.access
+    original_access = drive.access
 
     def recording_access(position_mb, size_mb):
-        reads.append((jukebox.mounted_id, position_mb, size_mb))
+        reads.append((drive.mounted_id, position_mb, size_mb))
         return original_access(position_mb, size_mb)
 
-    jukebox.access = recording_access
+    drive.access = recording_access
 
     completions = []
     original_completion = metrics.on_completion
@@ -108,12 +107,13 @@ def test_simulation_invariants(scheduler_name, layout, replicas, start_position,
     assert report.arrivals == report.total_completed + 15
 
     # 5. Pending + in-service account for every outstanding request.
-    outstanding = len(simulator.context.pending)
-    if simulator.context.service is not None:
-        for entry in simulator.context.service.remaining():
+    outstanding = len(simulator.pending)
+    service = simulator.contexts[0].service
+    if service is not None:
+        for entry in service.remaining():
             outstanding += len(entry.requests)
-        if simulator.context.service.in_flight is not None:
-            outstanding += len(simulator.context.service.in_flight.requests)
+        if service.in_flight is not None:
+            outstanding += len(service.in_flight.requests)
     assert outstanding == 15
 
     # 6. Progress: something completed within the horizon.

@@ -8,7 +8,7 @@ from repro.core import DynamicScheduler, MaxBandwidth, make_scheduler
 from repro.des import Environment, Resource
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.service import MetricsCollector
-from repro.service.multidrive import MultiDriveSimulator
+from repro.service import JukeboxSimulator
 from repro.workload import ClosedSource, HotColdSkew
 
 CAPACITY = 7 * 1024.0
@@ -28,7 +28,7 @@ def make_multidrive(drive_count, scheduler="dynamic-max-bandwidth", queue_length
     source = ClosedSource(
         queue_length, HotColdSkew(40.0), catalog, random.Random(seed)
     )
-    return MultiDriveSimulator(
+    return JukeboxSimulator(
         env=Environment(),
         catalog=catalog,
         source=source,
@@ -100,7 +100,7 @@ class TestConstruction:
         catalog = build_catalog(spec, 10, CAPACITY)
         source = ClosedSource(10, HotColdSkew(40.0), catalog, random.Random(1))
         with pytest.raises(ValueError, match="single-drive"):
-            MultiDriveSimulator(
+            JukeboxSimulator(
                 env=Environment(),
                 catalog=catalog,
                 source=source,

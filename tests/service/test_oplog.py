@@ -1,68 +1,55 @@
-"""Tests for the drive operation log."""
+"""Tests for the drive operation log: the tracer's drive spans.
+
+Every timed drive operation (switch, read, backoff, repair, idle wait)
+is recorded as a :class:`~repro.obs.DriveSpan`; ``tape-jukebox run
+--trace N`` prints the first N of them with
+:func:`~repro.report.text.format_drive_spans`.
+"""
 
 import random
-
-import pytest
 
 from repro.core import make_scheduler
 from repro.des import Environment
 from repro.layout import PlacementSpec, build_catalog
+from repro.obs import Tracer
+from repro.report.text import format_drive_spans
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.service.oplog import OpKind, Operation, OperationLog
-from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew, OpenSource
 
 BLOCK = 16.0
 
 
+def spans_of(tracer, kind):
+    return [span for span in tracer.drive_spans if span.kind == kind]
+
+
 class TestOperationLog:
-    def test_append_and_iterate(self):
-        log = OperationLog()
-        log.append(Operation(OpKind.READ, 0.0, 30.0, tape_id=1, position_mb=10.0))
-        log.append(Operation(OpKind.SWITCH, 30.0, 81.0, tape_id=2))
-        assert len(log) == 2
-        assert [operation.kind for operation in log] == [OpKind.READ, OpKind.SWITCH]
-
     def test_capacity_drops(self):
-        log = OperationLog(capacity=1)
-        log.append(Operation(OpKind.READ, 0.0, 1.0))
-        log.append(Operation(OpKind.READ, 1.0, 1.0))
-        assert len(log) == 1
-        assert log.dropped == 1
-
-    def test_of_kind_and_busy(self):
-        log = OperationLog()
-        log.append(Operation(OpKind.READ, 0.0, 30.0))
-        log.append(Operation(OpKind.IDLE, 30.0, 100.0))
-        log.append(Operation(OpKind.SWITCH, 130.0, 81.0))
-        assert len(log.of_kind(OpKind.READ)) == 1
-        assert log.busy_seconds() == pytest.approx(111.0)
-
-    def test_overlap_validation(self):
-        log = OperationLog()
-        log.append(Operation(OpKind.READ, 0.0, 30.0))
-        log.append(Operation(OpKind.READ, 10.0, 30.0))
-        with pytest.raises(AssertionError):
-            log.validate_non_overlapping()
+        tracer = Tracer(max_drive_spans=1)
+        tracer.on_op(0, "read", 0.0, 1.0)
+        tracer.on_op(0, "read", 1.0, 1.0)
+        assert len(tracer.drive_spans) == 1
+        assert tracer.dropped_drive_spans == 1
 
     def test_format(self):
-        log = OperationLog()
-        log.append(Operation(OpKind.READ, 0.0, 30.0, tape_id=1, position_mb=64.0,
-                             block_id=4))
-        text = log.format()
+        tracer = Tracer()
+        tracer.on_op(1, "read", 0.0, 30.0, tape_id=1, block_id=4, position_mb=64.0)
+        text = format_drive_spans(tracer)
         assert "read" in text
+        assert "drive 1" in text
         assert "tape=1" in text
         assert "block=4" in text
 
     def test_format_truncates(self):
-        log = OperationLog()
+        tracer = Tracer(max_drive_spans=55)
         for index in range(60):
-            log.append(Operation(OpKind.READ, float(index), 1.0))
-        assert "10 more" in log.format(limit=50)
+            tracer.on_op(0, "read", float(index), 1.0)
+        # 5 spans past the limit plus 5 the tracer dropped at capacity.
+        assert "10 more" in format_drive_spans(tracer, limit=50)
 
 
 class TestSimulatorIntegration:
-    def make_simulator(self, oplog, interarrival=None, queue_length=10):
+    def make_simulator(self, obs, interarrival=None, queue_length=10, drive_count=1):
         catalog = build_catalog(
             PlacementSpec(percent_hot=10, block_mb=BLOCK), 10, 7 * 1024.0
         )
@@ -74,45 +61,55 @@ class TestSimulatorIntegration:
             source = OpenSource(interarrival, skew, catalog, rng)
         return JukeboxSimulator(
             env=Environment(),
-            jukebox=Jukebox.build(),
             catalog=catalog,
-            scheduler=make_scheduler("dynamic-max-bandwidth"),
             source=source,
             metrics=MetricsCollector(block_mb=BLOCK),
-            oplog=oplog,
+            scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
+            drive_count=drive_count,
+            obs=obs,
         )
 
     def test_operations_logged_and_ordered(self):
-        log = OperationLog()
-        simulator = self.make_simulator(log)
-        report = simulator.run(10_000.0)
-        reads = log.of_kind(OpKind.READ)
-        switches = log.of_kind(OpKind.SWITCH)
-        # Hardware counters mutate at operation *start*; the log appends
-        # at operation *end*, so the op in flight at the horizon may be
-        # counted but not yet logged.
-        assert abs(len(reads) - report.total_completed) <= 1
-        assert simulator.jukebox.switches - 1 <= len(switches) <= simulator.jukebox.switches
-        log.validate_non_overlapping()
+        for drive_count in (1, 2):
+            tracer = Tracer()
+            simulator = self.make_simulator(tracer, drive_count=drive_count)
+            report = simulator.run(10_000.0)
+            # Drive state mutates at operation *start*; a span is
+            # recorded at operation *end*, so the op in flight at the
+            # horizon may be counted but not yet logged.
+            loads = sum(drive.counters.loads for drive in simulator.drives)
+            assert abs(len(spans_of(tracer, "read")) - report.total_completed) <= drive_count
+            assert loads - drive_count <= len(spans_of(tracer, "switch")) <= loads
+            for drive_index in range(drive_count):
+                previous_end = 0.0
+                for span in tracer.drive_spans:
+                    if span.drive != drive_index:
+                        continue
+                    assert span.start_s >= previous_end - 1e-9
+                    previous_end = span.start_s + span.duration_s
 
     def test_logged_busy_matches_metrics(self):
-        log = OperationLog()
-        simulator = self.make_simulator(log)
+        tracer = Tracer()
+        simulator = self.make_simulator(tracer)
         simulator.run(10_000.0)
+        busy = sum(
+            span.duration_s for span in tracer.drive_spans if span.kind != "idle"
+        )
         # Logged busy time only counts *finished* operations; allow the
         # one op in flight at the horizon.
-        assert log.busy_seconds() <= simulator.metrics.busy_s_after_warmup + 300.0
-        assert log.busy_seconds() > 0.8 * simulator.metrics.busy_s_after_warmup
+        assert busy <= simulator.metrics.busy_s_after_warmup + 300.0
+        assert busy > 0.8 * simulator.metrics.busy_s_after_warmup
 
     def test_idle_logged_in_open_model(self):
-        log = OperationLog()
-        simulator = self.make_simulator(log, interarrival=1_000.0)
+        tracer = Tracer()
+        simulator = self.make_simulator(tracer, interarrival=1_000.0)
         simulator.run(20_000.0)
-        idles = log.of_kind(OpKind.IDLE)
+        idles = spans_of(tracer, "idle")
         assert idles, "a lightly loaded open system must log idle gaps"
-        assert sum(operation.duration_s for operation in idles) > 1_000.0
+        assert sum(span.duration_s for span in idles) > 1_000.0
 
     def test_no_log_attached_is_free(self):
-        simulator = self.make_simulator(None)
-        report = simulator.run(5_000.0)
+        traced = self.make_simulator(Tracer()).run(5_000.0)
+        report = self.make_simulator(None).run(5_000.0)
         assert report.total_completed > 0
+        assert report == traced

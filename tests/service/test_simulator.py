@@ -8,7 +8,6 @@ from repro.core import make_scheduler
 from repro.des import Environment
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew, OpenSource
 
 
@@ -31,7 +30,6 @@ def make_simulator(
         block_mb=16.0,
     )
     catalog = build_catalog(spec, tape_count, 7 * 1024)
-    jukebox = Jukebox.build(tape_count=tape_count)
     rng = random.Random(seed)
     skew = HotColdSkew(40.0)
     if interarrival is None:
@@ -40,9 +38,9 @@ def make_simulator(
         source = OpenSource(interarrival, skew, catalog, rng)
     return JukeboxSimulator(
         env=Environment(),
-        jukebox=jukebox,
         catalog=catalog,
-        scheduler=make_scheduler(scheduler_name),
+        scheduler_factory=lambda: make_scheduler(scheduler_name),
+        tape_count=tape_count,
         source=source,
         metrics=MetricsCollector(block_mb=16.0, warmup_s=warmup_s),
     )
@@ -117,7 +115,7 @@ class TestClosedModel:
 
         simulator.metrics.on_completion = spy
         simulator.run(10_000.0)
-        catalog = simulator.context.catalog
+        catalog = simulator.catalog
         for request in completions:
             assert 0 <= request.block_id < catalog.n_blocks
             assert request.completion_s >= request.arrival_s

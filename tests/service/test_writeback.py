@@ -9,7 +9,6 @@ from repro.des import Environment
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.service import MetricsCollector
 from repro.service.writeback import DeltaBuffer, WritebackSimulator
-from repro.tape import Jukebox
 from repro.workload import ClosedSource, HotColdSkew, OpenSource
 
 BLOCK = 16.0
@@ -41,9 +40,8 @@ def make_writeback(catalog, queue_length=None, interarrival=None,
         source = OpenSource(interarrival, skew, catalog, rng)
     return WritebackSimulator(
         env=Environment(),
-        jukebox=Jukebox.build(),
         catalog=catalog,
-        scheduler=make_scheduler("dynamic-max-bandwidth"),
+        scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
         source=source,
         metrics=MetricsCollector(block_mb=BLOCK),
         write_interarrival_s=write_interarrival,
@@ -100,9 +98,8 @@ class TestWritebackSimulation:
         with pytest.raises(ValueError):
             WritebackSimulator(
                 env=Environment(),
-                jukebox=Jukebox.build(),
                 catalog=catalog,
-                scheduler=make_scheduler("dynamic-max-bandwidth"),
+                scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
                 source=ClosedSource(10, HotColdSkew(40.0), catalog, random.Random(1)),
                 metrics=MetricsCollector(block_mb=BLOCK),
                 write_interarrival_s=100.0,

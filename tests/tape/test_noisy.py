@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from repro.tape import EXB_8505XL, Jukebox, Tape, TapeDrive, TapePool
+from repro.tape import EXB_8505XL, Tape, TapeDrive
 from repro.tape.noisy import NoisyTimingModel, random_walk_validation
-from repro.tape.robot import RobotArm
 
 
 def make_noisy(seed=1, **kwargs):
@@ -89,17 +88,11 @@ class TestNoisyHardwareIntegration:
 
         catalog = build_catalog(PlacementSpec(percent_hot=10), 10, 7 * 1024.0)
         timing = make_noisy(seed=3)
-        pool = TapePool.uniform(10, 7 * 1024.0)
-        jukebox = Jukebox(
-            pool=pool,
-            drive=TapeDrive(timing=timing),
-            robot=RobotArm(timing=timing, slot_count=10),
-        )
         simulator = JukeboxSimulator(
             env=Environment(),
-            jukebox=jukebox,
             catalog=catalog,
-            scheduler=make_scheduler("envelope-max-bandwidth"),
+            timing=timing,
+            scheduler_factory=lambda: make_scheduler("envelope-max-bandwidth"),
             source=ClosedSource(30, HotColdSkew(40.0), catalog, random.Random(6)),
             metrics=MetricsCollector(block_mb=16.0),
         )

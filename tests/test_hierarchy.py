@@ -9,7 +9,6 @@ from repro.des import Environment
 from repro.hierarchy import DiskModel, HierarchySimulator, LRUCache, MemoryModel
 from repro.layout import PlacementSpec, build_catalog
 from repro.service import JukeboxSimulator, MetricsCollector
-from repro.tape import Jukebox
 from repro.workload import HotColdSkew
 
 BLOCK = 16.0
@@ -89,9 +88,8 @@ def make_hierarchy(memory_blocks=64, disk_blocks=600, interarrival=40.0, rh=80.0
     catalog = build_catalog(PlacementSpec(percent_hot=10, block_mb=BLOCK), 10, 7 * 1024.0)
     tape = JukeboxSimulator(
         env=Environment(),
-        jukebox=Jukebox.build(),
         catalog=catalog,
-        scheduler=make_scheduler("dynamic-max-bandwidth"),
+        scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
         source=__import__("repro.hierarchy.simulator", fromlist=["_TapeOnlySource"])._TapeOnlySource(),
         metrics=MetricsCollector(block_mb=BLOCK),
     )

@@ -78,7 +78,6 @@ class TestLocalityPaysOff:
         from repro.des import Environment
         from repro.layout import PlacementSpec, build_catalog
         from repro.service import JukeboxSimulator, MetricsCollector
-        from repro.tape import Jukebox
 
         packed = build_catalog(
             PlacementSpec(percent_hot=10, pack_cold=True), 10, 7 * 1024.0
@@ -87,9 +86,8 @@ class TestLocalityPaysOff:
         def run(locality):
             simulator = JukeboxSimulator(
                 env=Environment(),
-                jukebox=Jukebox.build(),
                 catalog=packed,
-                scheduler=make_scheduler("dynamic-max-bandwidth"),
+                scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
                 source=make_source(packed, locality, queue_length=60, seed=12),
                 metrics=MetricsCollector(block_mb=16.0, warmup_s=4_000.0),
             )

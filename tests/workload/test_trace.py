@@ -47,14 +47,12 @@ class TestTraceRecorder:
         from repro.core import make_scheduler
         from repro.des import Environment
         from repro.service import JukeboxSimulator, MetricsCollector
-        from repro.tape import Jukebox
 
         def simulate(source):
             simulator = JukeboxSimulator(
                 env=Environment(),
-                jukebox=Jukebox.build(),
                 catalog=catalog,
-                scheduler=make_scheduler("dynamic-max-bandwidth"),
+                scheduler_factory=lambda: make_scheduler("dynamic-max-bandwidth"),
                 source=source,
                 metrics=MetricsCollector(block_mb=16.0),
             )
