@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import sweep_cost
 from repro.report import format_table
-from repro.tape import EXB_8505XL, Jukebox
+from repro.tape import EXB_8505XL, Tape, TapeDrive
 
 DISTANCES = (1, 4, 8, 16, 28, 29, 64, 256, 1024, 4096, 7000)
 
@@ -37,17 +37,17 @@ def locate_rows():
 def random_walk_error(seed: int, steps: int = 100) -> float:
     """Relative error between predicted and executed walk time."""
     rng = random.Random(seed)
-    jukebox = Jukebox.build()
-    jukebox.switch_to(0)
+    drive = TapeDrive(timing=EXB_8505XL)
+    drive.load(Tape(0))
     predicted = 0.0
     actual = 0.0
     for _ in range(steps):
         target = float(rng.randrange(0, 7000))
-        startup = jukebox.drive.read_startup_pending
+        startup = drive.read_startup_pending
         predicted += sweep_cost(
-            EXB_8505XL, jukebox.head_mb, [target], 1.0, startup_pending=startup
+            EXB_8505XL, drive.head_mb, [target], 1.0, startup_pending=startup
         ).total_s
-        actual += jukebox.access(target, 1.0)
+        actual += drive.access(target, 1.0)
     return abs(predicted - actual) / actual
 
 

@@ -45,10 +45,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_kernel.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.api import run  # noqa: E402
 from repro.core import EnvelopeComputer, EnvelopeIndex, PendingList  # noqa: E402
 from repro.des import Environment  # noqa: E402
 from repro.experiments import ExperimentConfig  # noqa: E402
-from repro.experiments.runner import run_experiment  # noqa: E402
 from repro.layout import Layout, PlacementSpec, build_catalog  # noqa: E402
 from repro.tape import EXB_8505XL  # noqa: E402
 from repro.workload import HotColdSkew, RequestFactory  # noqa: E402
@@ -168,7 +168,7 @@ def bench_schedulers(horizon_s: float, queue: int) -> dict:
         else:
             config = _fig4_config(scheduler, queue, horizon_s)
         start = time.perf_counter()
-        result = run_experiment(config)
+        result = run(config)
         wall_s = time.perf_counter() - start
         out[scheduler] = {
             "wall_s": round(wall_s, 4),
@@ -194,7 +194,7 @@ def bench_fig4_end_to_end(horizon_s: float, queues, repeats: int = 3) -> dict:
         for scheduler in FIG4_FAMILIES:
             for queue in queues:
                 config = _fig4_config(scheduler, queue, horizon_s)
-                completed += run_experiment(config).report.completed
+                completed += run(config).report.completed
         wall_s = time.perf_counter() - start
         if best_s is None or wall_s < best_s:
             best_s = wall_s

@@ -15,7 +15,7 @@ Usage::
 
 import sys
 
-from repro import ExperimentConfig, Layout, run_experiment
+from repro import ExperimentConfig, Layout, run
 from repro.analysis import effective_queue_length
 from repro.layout import expansion_factor
 from repro.report import format_table
@@ -35,7 +35,7 @@ def throughput(skew: float, replicas: int, queue: int, horizon_s: float) -> floa
         queue_length=queue,
         horizon_s=horizon_s,
     )
-    return run_experiment(config).throughput_kb_s
+    return run(config).throughput_kb_s
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ Usage::
 
 from repro.core import EnvelopeComputer, PendingList, SchedulerContext
 from repro.layout import BlockCatalog, Replica
-from repro.tape import EXB_8505XL, Jukebox
+from repro.tape import EXB_8505XL
 from repro.workload import RequestFactory
 
 BLOCK_MB = 16.0

@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro import ExperimentConfig, Layout, run_experiment
+from repro import ExperimentConfig, Layout, run
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
     print(f"Simulating {horizon_s:,.0f} s of jukebox activity per run...\n")
     results = {}
     for label, config in (("baseline", baseline), ("recommended", recommended)):
-        result = run_experiment(config)
+        result = run(config)
         results[label] = result
         print(f"{label:12s} [{config.describe()}]")
         print(f"{'':12s} {result.report}\n")

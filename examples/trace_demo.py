@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import ExperimentConfig, Layout, run_experiment
+from repro import ExperimentConfig, Layout, run
 from repro.faults import FaultConfig, RetryPolicy
 from repro.obs import Tracer, TraceSummary, write_chrome_trace, write_jsonl
 from repro.report.text import format_trace_summary
@@ -49,7 +49,7 @@ def main() -> None:
     )
 
     tracer = Tracer()
-    result = run_experiment(config, obs=tracer)
+    result = run(config, obs=tracer)
     print(f"[{result.config.describe()}]")
     print(result.report)
     print()

@@ -22,7 +22,7 @@ Usage::
 
 import sys
 
-from repro import ExperimentConfig, Layout, run_experiment
+from repro import ExperimentConfig, Layout, run
 from repro.report import format_table
 
 #: New releases are ~10% of the catalog and draw 80% of requests.
@@ -73,7 +73,7 @@ def main() -> None:
     for interarrival_s in arrival_rates:
         per_hour = 3600.0 / interarrival_s
         for name in ("naive", "scheduled", "replicated"):
-            result = run_experiment(scenario_config(name, interarrival_s, horizon_s))
+            result = run(scenario_config(name, interarrival_s, horizon_s))
             report = result.report
             rows.append(
                 (

@@ -1,8 +1,7 @@
 """The unified run surface: one ``run(config)`` for every run kind.
 
-Historically each tier had its own entry point (``run_experiment``,
-``run_farm``, and federation would have added a third).  This facade
-makes the config type the dispatcher:
+There is one way to run one config, whatever its kind; the config
+type is the dispatcher:
 
 * :class:`~repro.experiments.config.ExperimentConfig` →
   :class:`~repro.experiments.runner.ExperimentResult`
@@ -16,15 +15,12 @@ cache, the journal, and the CLI treat the three kinds uniformly.
 ``run`` is a plain module-level function (picklable), and it accepts
 the ``obs`` keyword, so it drops into the campaign engine as the
 default runner — including worker processes and ``trace_dir`` capture.
-
-The old entry points remain as deprecation shims that route through
-here; see docs/API.md for the old → new mapping.
+Many configs run through :meth:`repro.campaign.Campaign.submit`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Optional, Set, Union
+from typing import Callable, Optional, Union
 
 from .experiments.config import ExperimentConfig
 from .experiments.runner import ExperimentResult, _run_experiment
@@ -38,23 +34,6 @@ __all__ = ["run"]
 RunConfig = Union[ExperimentConfig, FarmConfig, FederationConfig]
 #: Result types ``run`` returns.
 RunResult = Union[ExperimentResult, FarmResult, FederationResult]
-
-#: Deprecated entry points that already warned this process (each shim
-#: emits one DeprecationWarning per process, not one per call).
-_DEPRECATIONS_EMITTED: Set[str] = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """Emit the one-per-process DeprecationWarning for a legacy shim."""
-    if old in _DEPRECATIONS_EMITTED:
-        return
-    _DEPRECATIONS_EMITTED.add(old)
-    warnings.warn(
-        f"{old}() is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def run(
     config: RunConfig,
@@ -79,13 +58,9 @@ def run(
     if isinstance(config, FarmConfig):
         if tracer_factory is None and obs is not None:
             tracer_factory = lambda index: obs if index == 0 else None
-        report = _run_farm(
-            config.base,
-            config.jukebox_count,
-            config.total_queue_length,
-            tracer_factory=tracer_factory,
+        return FarmResult(
+            config=config, report=_run_farm(config, tracer_factory=tracer_factory)
         )
-        return FarmResult(config=config, report=report)
     if isinstance(config, FederationConfig):
         return run_federation(config, obs=obs, tracer_factory=tracer_factory)
     raise TypeError(

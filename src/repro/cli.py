@@ -10,8 +10,9 @@ Examples::
         --policy predicted-service --sweep-replicas 0,1
     tape-jukebox list
 
-The ``sweep``, ``figure``, ``run``, and ``federate`` subcommands share
-one campaign parser fragment: ``--jobs N`` fans simulations out over N
+The ``sweep``, ``figure``, ``gap``, ``run``, and ``federate`` subcommands
+share one campaign parser fragment and one exit path (see
+``_campaign_command``): ``--jobs N`` fans simulations out over N
 worker processes, ``--cache-dir`` enables the content-addressed result
 cache (default: ``$REPRO_CACHE_DIR`` when set), ``--no-cache`` disables
 it, and ``--progress`` prints one line per finished point to stderr.
@@ -193,6 +194,26 @@ def _interrupted_exit(campaign) -> int:
             file=sys.stderr,
         )
     return 130
+
+
+def _campaign_command(args, work) -> int:
+    """The one exit path of every campaign subcommand.
+
+    ``work(campaign)`` runs the campaign and prints its output.  Ctrl-C
+    exits 130 with the resume hint; a failed point prints its error and
+    exits nonzero through the epilogue.
+    """
+    from .campaign import CampaignPointError
+
+    campaign = _campaign_from_args(args)
+    try:
+        work(campaign)
+    except KeyboardInterrupt:
+        return _interrupted_exit(campaign)
+    except CampaignPointError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return _campaign_epilogue(campaign, args, error=error) or 1
+    return _campaign_epilogue(campaign, args)
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -570,35 +591,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "figure":
-        from .campaign import CampaignPointError
-
-        campaign = _campaign_from_args(args)
         generator = FIGURES[args.figure_id]
-        try:
+
+        def figure(campaign) -> None:
             if args.figure_id == "10a" or args.horizon is None:
                 data = generator(campaign=campaign)
             else:
                 data = generator(horizon_s=args.horizon, campaign=campaign)
-        except KeyboardInterrupt:
-            return _interrupted_exit(campaign)
-        except CampaignPointError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return _campaign_epilogue(campaign, args, error=error) or 1
-        if args.format == "csv":
-            from .report.export import figure_to_csv
+            if args.format == "csv":
+                from .report.export import figure_to_csv
 
-            print(figure_to_csv(data), end="")
-        elif args.format == "markdown":
-            from .report.export import figure_to_markdown
+                print(figure_to_csv(data), end="")
+            elif args.format == "markdown":
+                from .report.export import figure_to_markdown
 
-            print(figure_to_markdown(data))
-        else:
-            print(format_figure(data))
-        if args.plot:
-            from .report.plot import plot_throughput_delay
+                print(figure_to_markdown(data))
+            else:
+                print(format_figure(data))
+            if args.plot:
+                from .report.plot import plot_throughput_delay
 
-            print(plot_throughput_delay(data))
-        return _campaign_epilogue(campaign, args)
+                print(plot_throughput_delay(data))
+
+        return _campaign_command(args, figure)
 
     if args.command == "gap":
         from .analysis.gap import (
@@ -609,10 +624,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             compute_gap,
             gap_scenarios,
         )
-        from .campaign import CampaignPointError
         from .report.text import format_gap_report
 
-        campaign = _campaign_from_args(args)
         horizon_s = args.horizon if args.horizon is not None else GAP_HORIZON_S
         queue_lengths = [int(piece) for piece in args.queues.split(",") if piece]
         scenarios = list(gap_scenarios(horizon_s, queue_lengths))
@@ -635,40 +648,37 @@ def main(argv: Optional[List[str]] = None) -> int:
                 piece for piece in args.schedulers.split(",") if piece
             )
         baseline = args.baseline or DEFAULT_BASELINE
-        try:
+
+        def gap(campaign) -> None:
             report = compute_gap(
                 scenarios=scenarios,
                 schedulers=schedulers,
                 baseline=baseline,
                 campaign=campaign,
             )
-        except KeyboardInterrupt:
-            return _interrupted_exit(campaign)
-        except CampaignPointError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return _campaign_epilogue(campaign, args, error=error) or 1
-        if args.json:
-            import json
+            if args.json:
+                import json
 
-            payload = {
-                "baseline": report.baseline,
-                "horizon_s": horizon_s,
-                "rows": [
-                    {
-                        "scenario": row.scenario.key,
-                        "description": row.scenario.description,
-                        "baseline_mean_s": row.baseline_mean_s,
-                        "ratios": {
-                            cell.scheduler: cell.ratio for cell in row.cells
-                        },
-                    }
-                    for row in report.rows
-                ],
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(format_gap_report(report))
-        return _campaign_epilogue(campaign, args)
+                payload = {
+                    "baseline": report.baseline,
+                    "horizon_s": horizon_s,
+                    "rows": [
+                        {
+                            "scenario": row.scenario.key,
+                            "description": row.scenario.description,
+                            "baseline_mean_s": row.baseline_mean_s,
+                            "ratios": {
+                                cell.scheduler: cell.ratio for cell in row.cells
+                            },
+                        }
+                        for row in report.rows
+                    ],
+                }
+                print(json.dumps(payload, indent=2, sort_keys=True))
+            else:
+                print(format_gap_report(report))
+
+        return _campaign_command(args, gap)
 
     if args.command == "lifecycle":
         from .layout.lifecycle import LifecyclePlanner
@@ -697,25 +707,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "sweep":
-        from .campaign import CampaignPointError
-        from .experiments.sweeps import queue_sweep
+        from .experiments.sweeps import curve_family
         from .report.text import format_parametric_series
 
-        campaign = _campaign_from_args(args)
         queue_lengths = [int(piece) for piece in args.queues.split(",") if piece]
-        base = _config_from_args(args, queue=queue_lengths[0])
-        try:
-            points = queue_sweep(base, queue_lengths, campaign=campaign)
-        except KeyboardInterrupt:
-            return _interrupted_exit(campaign)
-        except CampaignPointError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return _campaign_epilogue(campaign, args, error=error) or 1
-        print(format_parametric_series(args.scheduler, points))
-        return _campaign_epilogue(campaign, args)
+        bases = {args.scheduler: _config_from_args(args, queue=queue_lengths[0])}
+
+        def sweep(campaign) -> None:
+            family = curve_family(bases, queue_lengths, campaign=campaign)
+            print(format_parametric_series(args.scheduler, family[args.scheduler]))
+
+        return _campaign_command(args, sweep)
 
     if args.command == "federate":
-        from .campaign import CampaignPointError
         from .federation import FederationConfig, LibraryConfig
         from .report.text import format_table
 
@@ -764,8 +768,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             configs = [base.with_(fleet_replicas=degree) for degree in degrees]
         else:
             configs = [base]
-        campaign = _campaign_from_args(args)
-        try:
+
+        def federate(campaign) -> None:
             submission = campaign.submit(configs)
             rows = []
             for config in configs:
@@ -779,18 +783,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "/".join(str(count) for count in report.routed_requests),
                     )
                 )
-        except KeyboardInterrupt:
-            return _interrupted_exit(campaign)
-        except CampaignPointError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return _campaign_epilogue(campaign, args, error=error) or 1
-        print(base.describe())
-        print(
-            format_table(
-                ("point", "kb_s", "req_min", "mean_resp_s", "routed"), rows
+            print(base.describe())
+            print(
+                format_table(
+                    ("point", "kb_s", "req_min", "mean_resp_s", "routed"), rows
+                )
             )
-        )
-        return _campaign_epilogue(campaign, args)
+
+        return _campaign_command(args, federate)
 
     if args.command == "chaos":
         from .faults.config import FaultConfig
@@ -973,19 +973,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"profile written to {prof_path}", file=sys.stderr)
         return 0
 
-    from .campaign import CampaignPointError
-
-    campaign = _campaign_from_args(args)
-    try:
+    def run_one(campaign) -> None:
         result = campaign.submit([config]).require(config)
-    except KeyboardInterrupt:
-        return _interrupted_exit(campaign)
-    except CampaignPointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return _campaign_epilogue(campaign, args, error=error) or 1
-    print(result.config.describe())
-    print(result.report)
-    return _campaign_epilogue(campaign, args)
+        print(result.config.describe())
+        print(result.report)
+
+    return _campaign_command(args, run_one)
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution guard

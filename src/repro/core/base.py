@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..layout.catalog import BlockCatalog
-from ..tape.jukebox import Jukebox
+from ..tape.drive import DriveView
 from ..workload.requests import Request
 from .pending import PendingList
 from .sweep import ServiceEntry, ServiceList
@@ -24,7 +24,7 @@ from .sweep import ServiceEntry, ServiceList
 class SchedulerContext:
     """Mutable scheduling state shared between simulator and scheduler."""
 
-    jukebox: Jukebox
+    jukebox: DriveView
     catalog: BlockCatalog
     pending: PendingList
     service: Optional[ServiceList] = None

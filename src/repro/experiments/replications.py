@@ -8,23 +8,21 @@ provides that harness plus a helper to decide whether two
 configurations differ significantly — used by tests to keep the
 benchmark assertions honest about noise.
 
-.. deprecated::
-    :func:`replicate` is a shim over
-    :meth:`repro.campaign.Campaign.submit`; the derived-seed variants
-    come from :meth:`repro.campaign.Campaign.derive_variants`, so seeds
-    are identical to the historical serial loop.  Pass ``campaign=`` to
-    run replications in parallel and/or cached.
+The derived-seed variants come from
+:meth:`repro.campaign.Campaign.derive_variants` and run as one
+:meth:`~repro.campaign.Campaign.submit`; pass ``campaign=`` to run them
+in parallel and/or cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..stats.batchmeans import ConfidenceInterval, t_quantile_975
 from .config import ExperimentConfig
-from .runner import ExperimentResult, _run_experiment
+from .sweeps import _campaign_or_default
 
 
 @dataclass(frozen=True)
@@ -64,24 +62,19 @@ def _interval(values: Sequence[float]) -> ConfidenceInterval:
 def replicate(
     config: ExperimentConfig,
     replications: int = 5,
-    runner: Callable[[ExperimentConfig], ExperimentResult] = _run_experiment,
     campaign=None,
 ) -> ReplicationReport:
     """Run ``config`` under ``replications`` derived seeds.
 
-    When ``campaign`` is given it executes the variants (possibly in
-    parallel, possibly from cache) and ``runner`` is ignored; otherwise
-    an implicit serial campaign wraps ``runner``, preserving the
-    original behaviour and seeds exactly.
+    ``campaign`` executes the variants (possibly in parallel, possibly
+    from cache); the default is a serial, uncached ``Campaign()``.
     """
     from ..campaign import Campaign
 
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications!r}")
     variants = Campaign.derive_variants(config, replications)
-    if campaign is None:
-        campaign = Campaign(runner=runner)
-    submission = campaign.submit(variants)
+    submission = _campaign_or_default(campaign).submit(variants)
     results = tuple(submission.require(variant) for variant in variants)
     throughputs = tuple(result.throughput_kb_s for result in results)
     delays = tuple(result.mean_response_s for result in results)

@@ -3,16 +3,9 @@
 Most of the paper's graphs are *parametric*: the independent variable
 (queue length) is not on either axis; as it grows it traces a curve in
 (throughput, delay) space, and a second variable (algorithm, placement,
-skew, ...) yields a family of curves.
-
-.. deprecated::
-    These helpers are thin shims over
-    :meth:`repro.campaign.Campaign.submit` — the single execution
-    surface with parallelism, caching, and failure isolation.  They
-    keep their original signatures (a bare call runs serially and
-    uncached, exactly as before) and gain an optional ``campaign=``
-    argument; new code should build configs and submit a campaign
-    directly.  See docs/API.md for the old→new mapping.
+skew, ...) yields a family of curves.  :func:`curve_family` submits a
+whole family as one :meth:`repro.campaign.Campaign.submit` call and
+reads the plotted points back.
 """
 
 from __future__ import annotations
@@ -63,39 +56,6 @@ def _campaign_or_default(campaign):
     return Campaign()
 
 
-def queue_sweep_configs(
-    base: ExperimentConfig,
-    queue_lengths: Sequence[int] = PAPER_QUEUE_LENGTHS,
-) -> List[ExperimentConfig]:
-    """The configs a closed-queueing sweep submits, in plot order."""
-    return [base.with_(queue_length=queue_length) for queue_length in queue_lengths]
-
-
-def queue_sweep(
-    base: ExperimentConfig,
-    queue_lengths: Sequence[int] = PAPER_QUEUE_LENGTHS,
-    campaign=None,
-) -> List[CurvePoint]:
-    """Trace one closed-queueing parametric curve over ``queue_lengths``."""
-    configs = queue_sweep_configs(base, queue_lengths)
-    submission = _campaign_or_default(campaign).submit(configs)
-    return [CurvePoint.from_result(submission.require(config)) for config in configs]
-
-
-def interarrival_sweep(
-    base: ExperimentConfig,
-    interarrivals_s: Sequence[float],
-    campaign=None,
-) -> List[CurvePoint]:
-    """Trace one open-queueing curve over mean interarrival times."""
-    configs = [
-        base.with_(queue_length=None, mean_interarrival_s=interarrival_s)
-        for interarrival_s in interarrivals_s
-    ]
-    submission = _campaign_or_default(campaign).submit(configs)
-    return [CurvePoint.from_result(submission.require(config)) for config in configs]
-
-
 def curve_family(
     bases: Dict[str, ExperimentConfig],
     queue_lengths: Sequence[int] = PAPER_QUEUE_LENGTHS,
@@ -107,7 +67,7 @@ def curve_family(
     parallel campaign every point of every curve runs concurrently.
     """
     family_configs: Dict[str, List[ExperimentConfig]] = {
-        label: queue_sweep_configs(base, queue_lengths)
+        label: [base.with_(queue_length=queue) for queue in queue_lengths]
         for label, base in bases.items()
     }
     all_configs = [

@@ -14,8 +14,8 @@ A federated run has two phases:
    single-/multi-drive service loop via its own derived
    :class:`~repro.experiments.config.ExperimentConfig` (per-library
    seed stream ``farm:<index>``, identical to the farm path, which is
-   what makes a 1-library pass-through federation bit-identical to
-   ``run_farm``).  Faults, QoS, and obs layers apply unchanged.
+   what makes a 1-library pass-through federation bit-identical to a
+   1-jukebox farm).  Faults, QoS, and obs layers apply unchanged.
 
 Libraries the routing phase sends nothing to produce an idle all-zero
 report rather than being skipped, so per-library lists always align
@@ -142,7 +142,7 @@ def library_config(
     """The derived single-library config for fleet member ``index``.
 
     Seeds use the ``farm:<index>`` stream — the same derivation as
-    :func:`repro.service.farm.run_farm` — so the 1-library pass-through
+    :func:`repro.service.farm._run_farm` — so the 1-library pass-through
     federation reuses the farm's exact per-library configs.
     """
     library = config.libraries[index]
@@ -189,7 +189,7 @@ def run_federation(
     ``obs`` (optional) traces library 0 — the single-tracer hook the
     campaign engine's ``trace_dir`` uses uniformly across run kinds.
     ``tracer_factory(index)`` (optional) traces every library, like
-    :func:`~repro.service.farm.run_farm`; it wins over ``obs``.
+    a farm run through :func:`repro.api.run`; it wins over ``obs``.
     """
     from ..experiments.runner import _run_experiment  # circular-import guard
     from .report import FederationReport

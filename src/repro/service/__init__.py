@@ -1,7 +1,7 @@
 """The paper's service model wired into the simulation kernel."""
 
 from .metrics import KB, MB, MetricsCollector, MetricsReport
-from .farm import FarmConfig, FarmReport, FarmResult, run_farm
+from .farm import FarmConfig, FarmReport, FarmResult
 from .rollup import ReportRollup, merge_reports, report_registry
 from .simulator import JukeboxSimulator
 from .writeback import DeltaBuffer, WritebackSimulator
@@ -20,5 +20,4 @@ __all__ = [
     "MetricsCollector",
     "MetricsReport",
     "WritebackSimulator",
-    "run_farm",
 ]

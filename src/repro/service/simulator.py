@@ -50,7 +50,6 @@ branch is skipped outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.base import MajorDecision, SchedulerContext
@@ -64,12 +63,16 @@ from ..faults.retry import RetryPolicy
 from ..layout.catalog import BlockCatalog
 from ..obs.tracer import Tracer
 from ..qos.manager import QoSManager
-from ..tape.drive import TapeDrive
-from ..tape.jukebox import DEFAULT_TAPE_COUNT
-from ..tape.tape import DEFAULT_TAPE_CAPACITY_MB, TapePool
+from ..tape.drive import DriveView, TapeDrive
+from ..tape.tape import DEFAULT_TAPE_CAPACITY_MB, DEFAULT_TAPE_COUNT, TapePool
 from ..tape.timing import DriveTimingModel, EXB_8505XL
 from ..workload.requests import Request
 from .metrics import MetricsCollector, MetricsReport
+
+
+#: Rounds of same-instant closed-loop replacements that
+#: ``_drop_lost_requests`` fails before it gives up on the workload.
+_MAX_LOST_ROUNDS = 10_000
 
 
 class ClaimFilteredPending(PendingList):
@@ -138,29 +141,6 @@ class ClaimFilteredPending(PendingList):
             for tape_id, requests in self._inner.candidate_tapes().items()
             if self._visible(tape_id)
         }
-
-
-@dataclass
-class DriveView:
-    """The slice of jukebox state one drive's scheduler may see."""
-
-    drive: TapeDrive
-    tape_count: int
-
-    @property
-    def timing(self) -> DriveTimingModel:
-        """Drive timing model."""
-        return self.drive.timing
-
-    @property
-    def mounted_id(self) -> Optional[int]:
-        """Tape mounted in this drive."""
-        return self.drive.mounted_id
-
-    @property
-    def head_mb(self) -> float:
-        """This drive's head position."""
-        return self.drive.head_mb
 
 
 class JukeboxSimulator:
@@ -794,16 +774,29 @@ class JukeboxSimulator:
         self._wake_idle_drives()
 
     def _drop_lost_requests(self) -> None:
-        """Fail pending requests whose every known copy is gone."""
-        lost = [
-            request
-            for request in self.pending.snapshot()
-            if self.faults.block_lost(request.block_id)
-        ]
-        if lost:
+        """Fail pending requests whose every known copy is gone.
+
+        In a closed loop each failure submits a replacement, which may
+        itself ask for a lost block; repeat until none is left, so no
+        scheduler ever plans around an undeliverable request.  A loop
+        that never empties means the workload asks only for lost blocks.
+        """
+        for _ in range(_MAX_LOST_ROUNDS):
+            lost = [
+                request
+                for request in self.pending.snapshot()
+                if self.faults.block_lost(request.block_id)
+            ]
+            if not lost:
+                return
             self.pending.remove_many(lost)
             for request in lost:
                 self._fail_request(request)
+        raise RuntimeError(
+            f"{_MAX_LOST_ROUNDS} rounds of replacement requests at "
+            f"t={self.env.now:g} s all asked for lost blocks: every block "
+            "the workload requests is gone"
+        )
 
     def _repair_drive(self, drive_index: int):
         """Take one drive down for repair while the rest keep serving."""

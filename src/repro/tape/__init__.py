@@ -1,11 +1,10 @@
-"""Tape hardware substrate: timing model, drive, robot, and jukebox."""
+"""Tape hardware substrate: timing model, drive, robot, and tapes."""
 
-from .drive import DriveCounters, DriveStateError, TapeDrive
-from .jukebox import DEFAULT_TAPE_COUNT, Jukebox
+from .drive import DriveCounters, DriveStateError, DriveView, TapeDrive
 from .robot import RobotArm, RobotError
 from .noisy import NoisyTimingModel, random_walk_validation
 from .serpentine import DLT_STYLE, SerpentineTimingModel
-from .tape import DEFAULT_TAPE_CAPACITY_MB, Tape, TapePool
+from .tape import DEFAULT_TAPE_CAPACITY_MB, DEFAULT_TAPE_COUNT, Tape, TapePool
 from .timing import Direction, DriveTimingModel, EXB_8505XL, LinearSegment
 
 __all__ = [
@@ -16,9 +15,9 @@ __all__ = [
     "SerpentineTimingModel",
     "DriveCounters",
     "DriveStateError",
+    "DriveView",
     "DriveTimingModel",
     "EXB_8505XL",
-    "Jukebox",
     "LinearSegment",
     "NoisyTimingModel",
     "RobotArm",

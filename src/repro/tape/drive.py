@@ -164,3 +164,26 @@ class TapeDrive:
         self.counters.eject_load_s += seconds
         self.counters.loads += 1
         return seconds
+
+
+@dataclass
+class DriveView:
+    """The slice of jukebox state one drive's scheduler may see."""
+
+    drive: TapeDrive
+    tape_count: int
+
+    @property
+    def timing(self) -> DriveTimingModel:
+        """Drive timing model."""
+        return self.drive.timing
+
+    @property
+    def mounted_id(self) -> Optional[int]:
+        """Tape mounted in this drive."""
+        return self.drive.mounted_id
+
+    @property
+    def head_mb(self) -> float:
+        """This drive's head position."""
+        return self.drive.head_mb

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 #: Default tape capacity used throughout the paper (EXB-210 tapes, 7 GB).
 DEFAULT_TAPE_CAPACITY_MB = 7 * 1024
 
+#: Number of tapes in the paper's default jukebox (an Exabyte EXB-210).
+DEFAULT_TAPE_COUNT = 10
+
 
 @dataclass(frozen=True)
 class Tape:

@@ -70,10 +70,10 @@ class TestClosedThroughput:
     def test_matches_simulation_roughly(self):
         """Analytic prediction within ~20% of a real simulation under
         near-uniform access (RH = PH = 10)."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro import ExperimentConfig, run
 
         predicted = estimate_closed_throughput(EXB_8505XL, 60, 10, CAPACITY, BLOCK)
-        simulated = run_experiment(
+        simulated = run(
             ExperimentConfig(
                 scheduler="static-round-robin",
                 percent_requests_hot=10.0,

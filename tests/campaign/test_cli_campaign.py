@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro import run
 from repro.campaign import Campaign
 from repro.cli import main
-from repro.experiments import run_experiment
 
 SWEEP = [
     "sweep", "--tapes", "4", "--queues", "5,10", "--horizon", "5000",
@@ -70,15 +70,50 @@ class TestRunFlags:
 def _failing_runner(config):
     if config.queue_length == 10:
         raise RuntimeError("synthetic point failure")
-    return run_experiment(config)
+    return run(config)
+
+
+def _broken_runner(config):
+    raise RuntimeError("synthetic point failure")
+
+
+def _interrupting_runner(config):
+    raise KeyboardInterrupt
 
 
 class _FailingCampaign(Campaign):
     """A Campaign whose runner fails one point (injected under the CLI)."""
 
+    point_runner = staticmethod(_failing_runner)
+
     def __init__(self, **kwargs):
-        kwargs["runner"] = _failing_runner
+        kwargs["runner"] = self.point_runner
         super().__init__(**kwargs)
+
+
+class _BrokenCampaign(_FailingCampaign):
+    """Every point fails."""
+
+    point_runner = staticmethod(_broken_runner)
+
+
+class _InterruptedCampaign(_FailingCampaign):
+    """The first point is interrupted by Ctrl-C."""
+
+    point_runner = staticmethod(_interrupting_runner)
+
+
+#: One small invocation of every campaign subcommand.
+CAMPAIGN_COMMANDS = {
+    "figure": ["figure", "3", "--horizon", "5000"],
+    "gap": [
+        "gap", "--scenarios", "q20", "--horizon", "5000",
+        "--schedulers", "envelope-max-bandwidth",
+    ],
+    "run": ["run", "--tapes", "4", "--queue", "5", "--horizon", "5000"],
+    "sweep": SWEEP,
+    "federate": ["federate", "--queue", "5", "--horizon", "5000"],
+}
 
 
 class TestFailureExit:
@@ -98,6 +133,41 @@ class TestFailureExit:
         assert main(SWEEP + ["--no-cache", "--journal", journal]) != 0
         err = capsys.readouterr().err
         assert f"journal: {journal}" in err
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGN_COMMANDS))
+class TestEveryCampaignCommandExit:
+    def test_failed_points_exit_one_with_summary(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("repro.campaign.Campaign", _BrokenCampaign)
+        cache = str(tmp_path / "cache")
+        assert main(CAMPAIGN_COMMANDS[command] + ["--cache-dir", cache]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+        assert "campaign failed: " in captured.err
+        assert "campaign-journal.jsonl" in captured.err
+
+    def test_ctrl_c_exits_130_with_resume_hint(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("repro.campaign.Campaign", _InterruptedCampaign)
+        cache = tmp_path / "cache"
+        argv = CAMPAIGN_COMMANDS[command] + ["--cache-dir", str(cache)]
+        assert main(argv) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        journal = cache / "campaign-journal.jsonl"
+        assert (
+            "interrupted; rerun the same command with --resume to continue "
+            f"(journal: {journal})"
+        ) in captured.err
+
+    def test_ctrl_c_without_journal_suggests_one(self, command, capsys, monkeypatch):
+        monkeypatch.setattr("repro.campaign.Campaign", _InterruptedCampaign)
+        assert main(CAMPAIGN_COMMANDS[command] + ["--no-cache"]) == 130
+        assert "rerun with --cache-dir or --journal" in capsys.readouterr().err
 
 
 class TestJournalFlags:

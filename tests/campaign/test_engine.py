@@ -5,8 +5,8 @@ import os
 
 import pytest
 
+from repro import ExperimentConfig, run
 from repro.campaign import Campaign, CampaignPointError, PointFailure
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.faults import FaultConfig
 from repro.rng import derive_seed
 
@@ -28,7 +28,7 @@ def _failing_runner(config):
     """Module-level (hence picklable) runner that fails one point."""
     if config.queue_length == 10:
         raise RuntimeError("synthetic point failure")
-    return run_experiment(config)
+    return run(config)
 
 
 def _hard_crash_runner(config):
@@ -205,12 +205,11 @@ class TestSeedDerivation:
 
 class TestShimEquivalence:
     def test_queue_sweep_matches_direct_submission(self, tmp_path):
-        from repro.experiments import queue_sweep
-        from repro.experiments.sweeps import CurvePoint, queue_sweep_configs
+        from repro.experiments import CurvePoint, curve_family
 
         campaign = Campaign(jobs=2, cache_dir=tmp_path)
-        points = queue_sweep(BASE, (5, 10), campaign=campaign)
-        configs = queue_sweep_configs(BASE, (5, 10))
+        points = curve_family({"base": BASE}, (5, 10), campaign=campaign)["base"]
+        configs = [BASE.with_(queue_length=queue) for queue in (5, 10)]
         submission = Campaign(cache_dir=tmp_path).submit(configs)
         assert points == [
             CurvePoint.from_result(submission.require(config)) for config in configs

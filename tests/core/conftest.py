@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PendingList, SchedulerContext
 from repro.layout import BlockCatalog, Replica
-from repro.tape import Jukebox
+from repro.tape import EXB_8505XL, DriveView, Tape, TapeDrive
 from repro.workload import RequestFactory
 
 BLOCK_MB = 16.0
@@ -29,14 +29,24 @@ def factory():
 
 def make_context(catalog, tape_count=10, mounted=None, head_mb=0.0):
     """A scheduler context over fresh hardware with optional mount state."""
-    jukebox = Jukebox.build(tape_count=tape_count)
-    if mounted is not None:
-        jukebox.switch_to(mounted)
-        if head_mb:
-            jukebox.drive.locate(head_mb)
-    return SchedulerContext(
-        jukebox=jukebox, catalog=catalog, pending=PendingList(catalog)
+    context = SchedulerContext(
+        jukebox=DriveView(drive=TapeDrive(timing=EXB_8505XL), tape_count=tape_count),
+        catalog=catalog,
+        pending=PendingList(catalog),
     )
+    if mounted is not None:
+        mount(context, mounted)
+        if head_mb:
+            context.jukebox.drive.locate(head_mb)
+    return context
+
+
+def mount(context, tape_id):
+    """Mount ``tape_id`` in the context's drive, head at 0 (no-op if mounted)."""
+    drive = context.jukebox.drive
+    if drive.mounted_id != tape_id:
+        drive.force_unload()
+        drive.load(Tape(tape_id))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from repro.core import (
     schedule_time,
     sweep_cost,
 )
-from repro.tape import EXB_8505XL, Jukebox
+from repro.tape import EXB_8505XL, Tape, TapeDrive
 
 BLOCK = 16.0
 
@@ -62,10 +62,10 @@ class TestSweepCost:
         """
         position_mbs = [slot * BLOCK for slot in positions]
         head_mb = head_slot * BLOCK
-        jukebox = Jukebox.build()
-        jukebox.switch_to(0)
-        jukebox.drive.locate(head_mb)
-        startup = jukebox.drive.read_startup_pending
+        drive = TapeDrive(timing=EXB_8505XL)
+        drive.load(Tape(0))
+        drive.locate(head_mb)
+        startup = drive.read_startup_pending
 
         predicted = sweep_cost(
             EXB_8505XL, head_mb, position_mbs, BLOCK, startup_pending=startup
@@ -78,10 +78,10 @@ class TestSweepCost:
         actual = 0.0
         while not service.is_empty:
             entry = service.pop_next()
-            actual += jukebox.access(entry.position_mb, BLOCK)
+            actual += drive.access(entry.position_mb, BLOCK)
             service.finish_in_flight()
         assert actual == pytest.approx(predicted.total_s, rel=1e-12, abs=1e-9)
-        assert jukebox.head_mb == pytest.approx(predicted.end_head_mb)
+        assert drive.head_mb == pytest.approx(predicted.end_head_mb)
 
 
 class TestScheduleTime:

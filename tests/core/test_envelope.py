@@ -13,7 +13,7 @@ from repro.core import (
 from repro.layout import Replica
 from repro.tape import EXB_8505XL
 
-from .conftest import catalog_from, make_context
+from .conftest import catalog_from, make_context, mount
 
 BLOCK = 16.0
 
@@ -72,7 +72,7 @@ class TestFigure2:
             for entry in decision.entries:
                 positions_seen.append((decision.tape_id, entry.position_mb))
             # Simulate mounting the chosen tape for the next round.
-            context.jukebox.switch_to(decision.tape_id)
+            mount(context, decision.tape_id)
         assert (1, 6000.0) not in positions_seen
         assert (0, 16.0) in positions_seen
 

@@ -189,10 +189,10 @@ class TestSerpentineEnvelope:
         assert len(state.assignment) == 3
 
     def test_end_to_end_serpentine_envelope(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro import ExperimentConfig, run
         from repro.layout import Layout
 
-        result = run_experiment(
+        result = run(
             ExperimentConfig(
                 scheduler="envelope-max-bandwidth",
                 drive_technology="serpentine",

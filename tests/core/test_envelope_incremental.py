@@ -32,9 +32,10 @@ from repro.core.envelope import (
 )
 from repro.core.policies import MaxRequests
 from repro.layout.catalog import BlockCatalog, Replica
-from repro.tape import Jukebox
-from repro.tape.timing import EXB_8505XL
+from repro.tape import EXB_8505XL, DriveView, TapeDrive
 from repro.workload.requests import Request
+
+from .conftest import mount
 
 
 def build_catalog(
@@ -187,7 +188,7 @@ def _decision_key(decision) -> Optional[tuple]:
 
 
 def _context(catalog, tape_count, pending) -> SchedulerContext:
-    jukebox = Jukebox.build(tape_count=tape_count)
+    jukebox = DriveView(drive=TapeDrive(timing=EXB_8505XL), tape_count=tape_count)
     return SchedulerContext(jukebox=jukebox, catalog=catalog, pending=pending)
 
 
@@ -222,8 +223,8 @@ def test_scheduler_decision_order_matches_full_path(seed, shrink):
                 decisions += 1
                 # Mount the chosen tape so the next compute sees the
                 # same (mounted, head) base on both sides.
-                indexed_ctx.jukebox.switch_to(left.tape_id)
-                plain_ctx.jukebox.switch_to(right.tape_id)
+                mount(indexed_ctx, left.tape_id)
+                mount(plain_ctx, right.tape_id)
     # Drain whatever is left so the run ends on a decision comparison.
     while len(indexed_ctx.pending):
         left = indexed.major_reschedule(indexed_ctx)

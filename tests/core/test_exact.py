@@ -31,7 +31,7 @@ from repro.core.sweep import ServiceEntry
 from repro.tape.timing import DriveTimingModel
 from repro.workload import RequestFactory
 
-from .conftest import catalog_from, make_context
+from .conftest import catalog_from, make_context, mount
 
 TIMING = DriveTimingModel()
 BLOCK_MB = 16.0
@@ -331,7 +331,7 @@ class TestSchedulerDecisions:
         context.pending.append(factory.create(block_id=1, arrival_s=0.0))
         scheduler = ExactBatchScheduler()
         decision = scheduler.major_reschedule(context)
-        context.jukebox.switch_to(decision.tape_id)
+        mount(context, decision.tape_id)
         context.service = scheduler.build_service_list(
             decision.entries, head_mb=0.0
         )
@@ -344,7 +344,7 @@ class TestSchedulerDecisions:
         context.pending.append(factory.create(block_id=0, arrival_s=0.0))
         scheduler = ExactBatchScheduler()
         decision = scheduler.major_reschedule(context)
-        context.jukebox.switch_to(decision.tape_id)
+        mount(context, decision.tape_id)
         context.service = scheduler.build_service_list(
             decision.entries, head_mb=0.0
         )
@@ -358,7 +358,7 @@ class TestSchedulerDecisions:
         context.pending.append(factory.create(block_id=1, arrival_s=0.0))
         scheduler = ExactBatchScheduler()
         decision = scheduler.major_reschedule(context)
-        context.jukebox.switch_to(decision.tape_id)
+        mount(context, decision.tape_id)
         context.service = scheduler.build_service_list(
             decision.entries, head_mb=0.0
         )

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import run
 from repro.experiments import (
     CurvePoint,
     ExperimentConfig,
     build_simulator,
-    queue_sweep,
-    run_experiment,
+    curve_family,
 )
 from repro.experiments.figures import figure3, figure6, figure10a
 from repro.layout import Layout
@@ -18,7 +18,7 @@ FAST = dict(horizon_s=15_000.0)
 
 class TestRunner:
     def test_run_produces_metrics(self):
-        result = run_experiment(ExperimentConfig(**FAST))
+        result = run(ExperimentConfig(**FAST))
         assert result.throughput_kb_s > 0
         assert result.mean_response_s > 0
         assert result.requests_per_min > 0
@@ -26,8 +26,8 @@ class TestRunner:
 
     def test_same_config_is_reproducible(self):
         config = ExperimentConfig(**FAST)
-        first = run_experiment(config)
-        second = run_experiment(config)
+        first = run(config)
+        second = run(config)
         assert first.throughput_kb_s == second.throughput_kb_s
 
     def test_build_simulator_validates_layout(self):
@@ -35,12 +35,12 @@ class TestRunner:
         assert simulator.catalog.n_hot > 0
 
     def test_drive_speedup_improves_throughput(self):
-        slow = run_experiment(ExperimentConfig(**FAST))
-        fast = run_experiment(ExperimentConfig(drive_speedup=2.0, **FAST))
+        slow = run(ExperimentConfig(**FAST))
+        fast = run(ExperimentConfig(drive_speedup=2.0, **FAST))
         assert fast.throughput_kb_s > slow.throughput_kb_s
 
     def test_open_model_runs(self):
-        result = run_experiment(
+        result = run(
             ExperimentConfig(queue_length=None, mean_interarrival_s=200.0, **FAST)
         )
         assert result.report.total_completed > 0
@@ -48,7 +48,7 @@ class TestRunner:
 
 class TestSweeps:
     def test_queue_sweep_traces_curve(self):
-        points = queue_sweep(ExperimentConfig(**FAST), queue_lengths=(10, 40))
+        points = curve_family({"base": ExperimentConfig(**FAST)}, (10, 40))["base"]
         assert len(points) == 2
         assert all(isinstance(point, CurvePoint) for point in points)
         assert points[0].intensity == 10
@@ -56,9 +56,9 @@ class TestSweeps:
 
     def test_longer_queue_higher_throughput_and_delay(self):
         """The closed model's defining parametric shape."""
-        points = queue_sweep(
-            ExperimentConfig(horizon_s=60_000.0), queue_lengths=(10, 100)
-        )
+        points = curve_family(
+            {"base": ExperimentConfig(horizon_s=60_000.0)}, (10, 100)
+        )["base"]
         assert points[1].throughput_kb_s > points[0].throughput_kb_s
         assert points[1].mean_response_s > points[0].mean_response_s
 

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
+from repro.api import run
 from repro.core import make_scheduler
 from repro.des import Environment
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.layout import Layout, PlacementSpec, build_catalog
 from repro.obs import Tracer
@@ -152,14 +152,52 @@ class TestDriveFailures:
             assert not simulator.catalog_view.has_replica_on(0, tape_id)
 
 
+class TestLostBlockReplacements:
+    """A closed-loop replacement for a failed request can ask for a lost
+    block too; it fails in the same reschedule instead of reaching the
+    scheduler."""
+
+    def test_envelope_survives_a_stuck_cartridge(self):
+        # The envelope planner raised "unscheduled requests with no
+        # extension candidates" here once a tape was taken out of service.
+        config = ExperimentConfig(
+            scheduler="envelope-max-bandwidth",
+            layout=Layout.VERTICAL,
+            replicas=2,
+            start_position=1.0,
+            queue_length=60,
+            horizon_s=40_000.0,
+            faults=FaultConfig(
+                robot_pick_error_rate=0.2, seed=7, retry=RetryPolicy(max_attempts=2)
+            ),
+        )
+        report = run(config).report
+        assert report.failed_requests > 0
+        assert report.completed > 0
+
+    def test_workload_of_only_lost_blocks_fails_loudly(self):
+        # Every pick fails, so every tape and every block is lost: each
+        # replacement is lost too, and the loop must stop rather than spin.
+        config = ExperimentConfig(
+            tape_count=3,
+            queue_length=5,
+            horizon_s=20_000.0,
+            faults=FaultConfig(
+                robot_pick_error_rate=1.0, seed=7, retry=RetryPolicy(max_attempts=1)
+            ),
+        )
+        with pytest.raises(RuntimeError, match="every block the workload requests"):
+            run(config)
+
+
 class TestPayForWhatYouUse:
     def test_disabled_faults_bit_identical_via_runner(self):
         base = ExperimentConfig(
             scheduler="dynamic-max-bandwidth", tape_count=4, capacity_mb=1000.0,
             horizon_s=HORIZON, queue_length=12, seed=5, warmup_fraction=0.0,
         )
-        clean = run_experiment(base).report
-        inert = run_experiment(base.with_(faults=FaultConfig())).report
+        clean = run(base).report
+        inert = run(base.with_(faults=FaultConfig())).report
         assert dataclasses.asdict(clean) == dataclasses.asdict(inert)
 
     def test_no_injector_means_no_fault_state(self):

@@ -1,15 +1,13 @@
-"""The unified run surface: dispatch by config kind, deprecation shims."""
-
-import warnings
+"""The unified run surface: dispatch by config kind."""
 
 import pytest
 
-from repro.api import _DEPRECATIONS_EMITTED, run
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentResult
 from repro.federation import FederationConfig, LibraryConfig
 from repro.federation.runner import FederationResult
-from repro.service.farm import FarmConfig, FarmResult, run_farm
+from repro.service.farm import FarmConfig, FarmResult
 
 FAST = dict(queue_length=5, horizon_s=5_000.0, tape_count=4, capacity_mb=500.0)
 
@@ -44,46 +42,3 @@ class TestDispatch:
     def test_experiment_rejects_tracer_factory(self):
         with pytest.raises(TypeError, match="tracer_factory"):
             run(ExperimentConfig(**FAST), tracer_factory=lambda index: None)
-
-
-class TestDeprecationShims:
-    def _reset(self):
-        _DEPRECATIONS_EMITTED.clear()
-
-    def test_run_experiment_warns_once_and_matches_run(self):
-        self._reset()
-        config = ExperimentConfig(**FAST)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = run_experiment(config)
-            run_experiment(config)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api.run" in str(deprecations[0].message)
-        assert shimmed.report == run(config).report
-
-    def test_run_farm_warns_once_and_matches_run(self):
-        self._reset()
-        base = ExperimentConfig(**FAST)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = run_farm(base, 2, 10)
-            run_farm(base, 2, 10)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert shimmed.per_jukebox == run(FarmConfig(base, 2, 10)).report.per_jukebox
-
-    def test_shims_warn_independently(self):
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_experiment(ExperimentConfig(**FAST))
-            run_farm(ExperimentConfig(**FAST), 1, 5)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2

@@ -8,6 +8,7 @@ both are pinned, so drift in either path fails loudly).
 
 import pytest
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
 from repro.federation import (
     FederationConfig,
@@ -18,7 +19,7 @@ from repro.federation import (
     run_federation,
 )
 from repro.federation.report import federation_report_digest
-from repro.service.farm import _run_farm
+from repro.service.farm import FarmConfig
 from repro.service.metrics import report_digest
 
 #: Pinned on the tree that introduced repro.federation; the same digest
@@ -44,7 +45,7 @@ class TestPassThroughBitIdentity:
 
     def test_farm_path_agrees(self):
         base = ExperimentConfig(queue_length=24, horizon_s=50_000.0)
-        farm = _run_farm(base, 1, 24)
+        farm = run(FarmConfig(base, 1, 24)).report
         assert report_digest(farm.per_jukebox[0]) == PASS_THROUGH_GOLDEN
 
     def test_pass_through_rejects_multi_library_fleets(self):

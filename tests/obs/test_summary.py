@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.obs import SUMMARY_SCHEMA, Tracer, TraceSummary
 
 CONFIG = ExperimentConfig(
@@ -14,7 +14,7 @@ CONFIG = ExperimentConfig(
 @pytest.fixture(scope="module")
 def traced():
     obs = Tracer()
-    result = run_experiment(CONFIG, obs=obs)
+    result = run(CONFIG, obs=obs)
     return result, obs
 
 

@@ -113,7 +113,9 @@ GOLDEN = {
     "mtbf_open": "75ccfb9ac417119a0855268c49d2a0110b53734519b2a315b4d0dadc6c90d862",
     "mtbf_open_idle": "f94c4d9dbb1bc493a6b7724c4d013376a1da2b91798d23fe9aaf1dc63b26b153",
     "mtbf_open_envelope": "79003716a1c3a61e3cc4f9d6034d7cd4f80ca959fe77eed3da1b020d7e60b3f6",
-    "robot_pick_stuck": "4cdebb467bc1d6d0c263675425a6032c7a8fb8ff03bd2cb54faa1c1223c2c81e",
+    # Re-pinned when replacements that ask for a lost block began to
+    # fail in the same reschedule rather than one cycle later.
+    "robot_pick_stuck": "b6da53f521dc2d0919bcdc4bbc895c60da77cb3b2e9ba154e47ce3fc53f63001",
     "robot_pick_envelope": "bf03be9f399f86d784cd46e6dc5a13f5f3cc667b14dea8b59f31c64c3e18ca61",
     "open_fifo": "dc97f02c1f554dfc1c314d93d7a7b6ab077c9c525abe2c8f95eee4e23897ecf3",
     "open_envelope": "13791207b0aa8db0c5ae7195b82635acb60daafabaf7fcb35241c0eef3da77a2",
@@ -122,7 +124,9 @@ GOLDEN = {
     "two_drive_overload": "d13a3baec7540e37255cb12482de43a67e6ad77c4ae5c30a00bfcac8ae8456da",
     "two_drive_mtbf_closed": "5edfe6fc29ca16c4e973c98dbccfcbccbd5ad5a9ba6df3c56e248f45ba2a249e",
     "two_drive_mtbf_open": "f2a7bc190d4b4a4dec614e6a8c4e53813fd558950749cb10be08ee5027be66e8",
-    "two_drive_pick_stuck": "f9962c52b3cd834a81388fb36c8df417fce299f829d5962a64e6cff8a0e2903b",
+    # Re-pinned when replacements that ask for a lost block began to
+    # fail in the same reschedule rather than one cycle later.
+    "two_drive_pick_stuck": "9249ce6b676fbf96847b243dfac2246e4e3a1ac0e6e6efdfdc30954c8e9a6528",
     "two_drive_open_fifo": "73f72638d841e8939caeb636468eb9533821550015ce576c967cb8838f7eebca",
 }
 

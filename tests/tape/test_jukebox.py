@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.experiments import ExperimentConfig
+from repro.experiments.runner import build_simulator
+from repro.obs import Tracer
 from repro.tape import (
     DEFAULT_TAPE_CAPACITY_MB,
     EXB_8505XL,
-    Jukebox,
     RobotArm,
     RobotError,
     Tape,
@@ -81,52 +83,60 @@ class TestRobotArm:
             robot.swap(0)  # already in the drive, not in a slot
 
 
+def _traced_run():
+    """The drive spans of a short traced one-drive run."""
+    config = ExperimentConfig(tape_count=5, queue_length=10, horizon_s=20_000.0)
+    tracer = Tracer()
+    build_simulator(config, obs=tracer).run(config.horizon_s)
+    return tracer.drive_spans
+
+
+def _switches_after_reads(spans):
+    """Each later switch paired with the head position it rewinds from."""
+    head_mb = None
+    for span in spans:
+        if span.kind == "read":
+            head_mb = span.position_mb + 16.0
+        elif span.kind == "switch" and head_mb is not None:
+            yield span, head_mb
+
+
 class TestJukebox:
+    """The paper's jukebox is the one-drive case of the service loop."""
+
     def test_build_defaults(self):
-        jukebox = Jukebox.build()
-        assert jukebox.tape_count == 10
-        assert jukebox.mounted_id is None
+        simulator = build_simulator(ExperimentConfig(horizon_s=1_000.0))
+        assert len(simulator.pool) == 10
+        assert simulator.contexts[0].jukebox.tape_count == 10
+        assert simulator.contexts[0].mounted_id is None
 
     def test_initial_mount_skips_rewind_and_eject(self):
-        jukebox = Jukebox.build()
-        seconds = jukebox.switch_to(4)
-        assert seconds == pytest.approx(20.0 + 42.0)  # robot + load only
-        assert jukebox.mounted_id == 4
-        assert jukebox.switches == 1
+        spans = _traced_run()
+        assert spans[0].kind == "switch"
+        assert spans[0].duration_s == pytest.approx(20.0 + 42.0)  # robot + load
 
     def test_switch_to_mounted_tape_is_free(self):
-        jukebox = Jukebox.build()
-        jukebox.switch_to(2)
-        assert jukebox.switch_to(2) == 0.0
-        assert jukebox.switches == 1
+        spans = _traced_run()
+        mounted = None
+        for span in spans:
+            if span.kind == "switch":
+                assert span.tape_id != mounted
+                mounted = span.tape_id
+            elif span.kind == "read":
+                assert span.tape_id == mounted
 
     def test_full_switch_includes_rewind(self):
-        jukebox = Jukebox.build()
-        jukebox.switch_to(0)
-        jukebox.access(500.0, 16.0)
-        head = jukebox.head_mb
-        seconds = jukebox.switch_to(1)
-        expected = EXB_8505XL.rewind(head) + 19.0 + 20.0 + 42.0
-        assert seconds == pytest.approx(expected)
-        assert jukebox.mounted_id == 1
-        assert jukebox.head_mb == 0.0
-
-    def test_switch_to_unknown_tape_rejected(self):
-        jukebox = Jukebox.build(tape_count=5)
-        with pytest.raises(ValueError):
-            jukebox.switch_to(5)
+        spans = _traced_run()
+        switches = list(_switches_after_reads(spans))
+        assert switches
+        for span, head_mb in switches:
+            expected = EXB_8505XL.rewind(head_mb) + 19.0 + 20.0 + 42.0
+            assert span.duration_s == pytest.approx(expected)
 
     def test_access_on_mounted_tape(self):
-        jukebox = Jukebox.build()
-        jukebox.switch_to(0)
-        seconds = jukebox.access(100.0, 16.0)
-        assert seconds == pytest.approx(
-            EXB_8505XL.locate_forward(100.0) + 0.38 + 1.77 * 16
+        spans = _traced_run()
+        first_read = spans[1]
+        assert first_read.kind == "read"
+        assert first_read.duration_s == pytest.approx(
+            EXB_8505XL.locate_forward(first_read.position_mb) + 0.38 + 1.77 * 16
         )
-        assert jukebox.head_mb == 116.0
-
-    def test_paper_switch_overhead_81s(self):
-        """Rewound-tape switch = 19 + 20 + 42 = 81 s, the paper's figure."""
-        jukebox = Jukebox.build()
-        jukebox.switch_to(0)  # head at 0, no rewind needed
-        assert jukebox.switch_to(1) == pytest.approx(81.0)

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.tape import DLT_STYLE, Jukebox, SerpentineTimingModel, Tape, TapeDrive
+from repro.experiments import ExperimentConfig
+from repro.experiments.runner import build_simulator
+from repro.obs import Tracer
+from repro.tape import DLT_STYLE, SerpentineTimingModel, Tape, TapeDrive
 
 
 class TestGeometry:
@@ -106,20 +109,27 @@ class TestDriveIntegration:
         drive.eject()
 
     def test_jukebox_switch_cheap(self):
-        jukebox = Jukebox.build(
-            capacity_mb=DLT_STYLE.capacity_mb, timing=DLT_STYLE
+        config = ExperimentConfig(
+            drive_technology="serpentine",
+            tape_count=5,
+            queue_length=10,
+            horizon_s=20_000.0,
         )
-        jukebox.switch_to(0)
-        jukebox.access(5000.0, 16.0)
-        # No rewind: a switch costs exactly eject + swap + load.
-        assert jukebox.switch_to(1) == pytest.approx(81.0)
+        tracer = Tracer()
+        build_simulator(config, obs=tracer).run(config.horizon_s)
+        switches = [span for span in tracer.drive_spans if span.kind == "switch"]
+        # No rewind: every switch after the first mount costs exactly
+        # eject + swap + load, wherever the head stopped.
+        assert len(switches) > 1
+        for span in switches[1:]:
+            assert span.duration_s == pytest.approx(81.0)
 
 
 class TestEndToEnd:
     def test_experiment_runs_with_serpentine(self):
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro import ExperimentConfig, run
 
-        result = run_experiment(
+        result = run(
             ExperimentConfig(
                 drive_technology="serpentine",
                 queue_length=20,
@@ -130,12 +140,12 @@ class TestEndToEnd:
 
     def test_serpentine_beats_helical_on_random_reads(self):
         """Cheap positioning and free rewinds should dominate."""
-        from repro.experiments import ExperimentConfig, run_experiment
+        from repro import ExperimentConfig, run
 
-        helical = run_experiment(
+        helical = run(
             ExperimentConfig(queue_length=60, horizon_s=40_000.0)
         )
-        serpentine = run_experiment(
+        serpentine = run(
             ExperimentConfig(
                 drive_technology="serpentine", queue_length=60, horizon_s=40_000.0
             )

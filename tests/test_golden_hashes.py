@@ -20,8 +20,8 @@ To re-pin after an *intentional* behaviour change, print fresh digests:
 
 import pytest
 
+from repro.api import run
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.faults import FaultConfig, RetryPolicy
 from repro.layout.placement import Layout
 from repro.qos import QoSConfig
@@ -109,7 +109,7 @@ def test_case_matrix_is_fully_pinned():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hash(name):
-    digest = report_digest(run_experiment(CASES[name]).report)
+    digest = report_digest(run(CASES[name]).report)
     assert digest == GOLDEN[name], (
         f"{name}: report digest drifted — scheduler decisions or metrics "
         f"are no longer bit-identical to the pinned pre-optimization run "
@@ -119,6 +119,6 @@ def test_golden_hash(name):
 
 def test_digest_is_repeatable_within_process():
     """Two runs of the same config in one process hash identically."""
-    first = report_digest(run_experiment(CASES["fig4_fifo"]).report)
-    second = report_digest(run_experiment(CASES["fig4_fifo"]).report)
+    first = report_digest(run(CASES["fig4_fifo"]).report)
+    second = report_digest(run(CASES["fig4_fifo"]).report)
     assert first == second == GOLDEN["fig4_fifo"]

@@ -50,9 +50,9 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(_here.parent.parent / "src"))
     sys.path.insert(0, str(_here.parent))
 
+from repro import ExperimentConfig, run
 from repro.campaign import Campaign, CampaignJournal, ResultCache
 from repro.campaign.hashing import config_digest
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.obs import MetricRegistry
 from repro.service.metrics import report_digest
 
@@ -106,7 +106,7 @@ class KillOnceRunner:
             else:
                 os.close(fd)
                 os.kill(os.getpid(), signal.SIGKILL)
-        return run_experiment(config)
+        return run(config)
 
 
 class RecordingRunner:
@@ -119,7 +119,7 @@ class RecordingRunner:
         path = os.path.join(self.record_dir, config_digest(config))
         with open(path, "a", encoding="utf-8"):
             pass
-        return run_experiment(config)
+        return run(config)
 
 
 class SlowRunner:
@@ -130,7 +130,7 @@ class SlowRunner:
 
     def __call__(self, config):
         time.sleep(self.delay_s)
-        return run_experiment(config)
+        return run(config)
 
 
 class FullDiskCache(ResultCache):

@@ -25,44 +25,20 @@ Each section lists a module's public names with the first line of
 their docstrings.  See the source for full documentation; every public
 item carries a docstring.
 
-## Run-surface migration (old → new)
+## The run surface
 
-`repro.api.run(config)` is the single run surface: it dispatches on
-config type — `ExperimentConfig` → experiment, `FarmConfig` → farm,
-`FederationConfig` → federation — and is the campaign engine's default
-runner.  The historical entry points keep their signatures as shims
-that route through it and emit one `DeprecationWarning` per process:
+`repro.api.run(config)` runs one config: it dispatches on config type
+— `ExperimentConfig` → experiment, `FarmConfig` → farm,
+`FederationConfig` → federation (see docs/FEDERATION.md) — and takes
+an optional `obs=` tracer.  `repro.campaign.Campaign.submit(configs)`
+runs many: it deduplicates them, serves finished points from a
+content-addressed cache, fans the rest out over worker processes, and
+isolates per-point failures; its default runner is `run`.  The
+figure, curve (`curve_family`), replication (`replicate`), gap, and
+cost-performance helpers build config batches and take a `campaign=`
+keyword (default: a serial, uncached `Campaign()`).
 
-| Old call | `repro.api` equivalent |
-| --- | --- |
-| `run_experiment(config)` | `run(config)` |
-| `run_experiment(config, obs=t)` | `run(config, obs=t)` |
-| `run_farm(base, n, q)` | `run(FarmConfig(base, n, q)).report` |
-| `run_farm(base, n, q, tracer_factory=f)` | `run(FarmConfig(base, n, q), tracer_factory=f).report` |
-| — (new) | `run(FederationConfig(...))` — see docs/FEDERATION.md |
-
-## Campaign migration (old → new)
-
-`repro.campaign.Campaign.submit(configs) -> CampaignResult` is the
-single experiment-execution surface: it deduplicates configs, serves
-finished points from a content-addressed on-disk cache, fans the rest
-out over worker processes, and isolates per-point failures as error
-records.  The historical helpers remain as thin shims with their old
-signatures (a bare call still runs serially and uncached) and gained a
-`campaign=` keyword:
-
-| Old call | Campaign-era equivalent |
-| --- | --- |
-| `run_experiment(config)` | `Campaign().submit([config]).require(config)` |
-| `queue_sweep(base, qs)` | `queue_sweep(base, qs, campaign=c)` or `c.submit(queue_sweep_configs(base, qs))` |
-| `interarrival_sweep(base, ias)` | `interarrival_sweep(base, ias, campaign=c)` |
-| `curve_family(bases, qs)` | `curve_family(bases, qs, campaign=c)` — one submission for the whole family |
-| `replicate(config, n)` | `replicate(config, n, campaign=c)`; seeds via `Campaign.derive_variants(config, n)` |
-| `FIGURES[fid](...)` | `FIGURES[fid](..., campaign=c)` — one submission per figure |
-| `cost_performance_curve(...)` | `cost_performance_curve(..., campaign=c)` |
-| manual result JSON files | `ResultCache(dir)` keyed by `config_digest(config)` |
-
-CLI: `tape-jukebox sweep|figure|run|federate` share `--jobs N`,
+CLI: `tape-jukebox sweep|figure|gap|run|federate` share `--jobs N`,
 `--cache-dir`, `--no-cache`, and `--progress` (env default:
 `REPRO_CACHE_DIR`).
 """
