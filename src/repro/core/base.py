@@ -102,6 +102,36 @@ def coalesce_entries(
     return entries
 
 
+def insert_into_sweep(context: SchedulerContext, request: Request) -> bool:
+    """Absorb ``request`` into the in-progress sweep on the mounted tape.
+
+    Coalesces onto an already scheduled (not yet started) read of the
+    same block, else inserts a new entry at the block's copy on the
+    mounted tape.  Returns False, changing nothing, when no sweep is
+    running, the block has no copy on the mounted tape, or the sweep has
+    already passed it; the caller then defers the request.
+    """
+    service = context.service
+    mounted = context.mounted_id
+    if service is None or mounted is None:
+        return False
+    catalog = context.catalog
+    if not catalog.has_replica_on(request.block_id, mounted):
+        return False
+    existing = service.find_block(request.block_id)
+    if existing is not None:
+        existing.attach(request)
+        return True
+    replica = catalog.replica_on(request.block_id, mounted)
+    return service.insert(
+        ServiceEntry(
+            position_mb=replica.position_mb,
+            block_id=request.block_id,
+            requests=[request],
+        )
+    )
+
+
 class Scheduler(abc.ABC):
     """A complete scheduling algorithm (major + incremental)."""
 

@@ -9,9 +9,8 @@ existing sweep.  Otherwise the request is deferred to the pending list.
 
 from __future__ import annotations
 
-from .base import SchedulerContext
+from .base import SchedulerContext, insert_into_sweep
 from .static_ import StaticScheduler
-from .sweep import ServiceEntry
 from ..workload.requests import Request
 
 
@@ -25,26 +24,7 @@ class DynamicScheduler(StaticScheduler):
             self.name += f"-{ordering}"
 
     def on_arrival(self, context: SchedulerContext, request: Request) -> bool:
-        service = context.service
-        mounted = context.mounted_id
-        if service is None or mounted is None:
-            context.pending.append(request)
-            return False
-        if not context.catalog.has_replica_on(request.block_id, mounted):
-            context.pending.append(request)
-            return False
-        # Coalesce onto an already scheduled (not yet started) read.
-        existing = service.find_block(request.block_id)
-        if existing is not None:
-            existing.attach(request)
-            return True
-        replica = context.catalog.replica_on(request.block_id, mounted)
-        entry = ServiceEntry(
-            position_mb=replica.position_mb,
-            block_id=request.block_id,
-            requests=[request],
-        )
-        if service.insert(entry):
+        if insert_into_sweep(context, request):
             return True
         context.pending.append(request)
         return False

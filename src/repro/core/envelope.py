@@ -22,32 +22,16 @@ into the dynamic max-bandwidth algorithm" without replicas.
 
 Performance model
 -----------------
-Every major reschedule used to rebuild the computer's working state —
-the per-block replica cache and the per-tape candidate rows, sorted by
-``(position, request_id)`` — from the full pending set, which made the
-envelope family the slowest scheduler by a wide margin.  Two layers fix
-that without changing a single scheduling decision:
-
-* :class:`EnvelopeIndex` keeps the candidate rows *incrementally*: it
-  subscribes to the :class:`~repro.core.pending.PendingList`, absorbs
-  each arrival into the affected tapes' rows (dirty-marking just those
-  tapes for a cheap near-sorted re-sort at the next compute), and
-  tombstones removals so completed sweeps shrink only the tapes they
-  touched (a full compaction runs when dead rows outnumber live ones).
-  :meth:`EnvelopeComputer.compute` then starts from the maintained
-  index instead of re-deriving it, and falls back to a full rebuild
-  whenever the index cannot vouch for itself (fault-masked catalogs,
-  request-count mismatch, or no index at all).  The algorithm proper is
-  re-run over identical inputs either way, so the resulting
-  :class:`EnvelopeState` is bit-identical by construction — a property
-  the equivalence suite asserts over random interleavings.
-
-* Inside one compute, the step-3 search evaluates incremental
-  bandwidth through flattened timing constants
-  (:func:`~repro.core.cost.extension_constants`) instead of per-length
-  tracker calls, and the absorb rescan after an extension only visits
-  requests whose replica on the extended tape newly fell inside the
-  envelope — the only requests whose absorption status can change.
+Every major reschedule computes the envelope from the pending snapshot
+it is handed: :meth:`EnvelopeComputer.compute` resolves each request's
+replicas against the catalog once, builds per-tape candidate rows
+sorted by ``(position, request_id)``, and runs steps 1-6 over them.  No
+state survives the call.  Inside it, the step-3 search evaluates
+incremental bandwidth through flattened timing constants
+(:func:`~repro.core.cost.extension_constants`) instead of per-length
+tracker calls, and the absorb rescan after an extension only visits
+requests whose replica on the extended tape newly fell inside the
+envelope — the only requests whose absorption status can change.
 """
 
 from __future__ import annotations
@@ -61,15 +45,20 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..layout.catalog import BlockCatalog, Replica
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
-from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
+from .base import (
+    MajorDecision,
+    Scheduler,
+    SchedulerContext,
+    coalesce_entries,
+    insert_into_sweep,
+)
 from .cost import MB, ExtensionCostTracker, extension_constants
-from .pending import PendingList
 from .policies import SelectionContext, TapeSelectionPolicy, jukebox_order
-from .sweep import ServiceEntry
 
-#: Sort/bisect key of a candidate row
+#: Bisect and sort keys of a candidate row
 #: ``(position_mb, request_id, request, replica)``.
 _row_position = itemgetter(0)
+_row_key = itemgetter(0, 1)
 
 
 @lru_cache(maxsize=256)
@@ -109,157 +98,6 @@ class EnvelopeState:
         )
 
 
-class EnvelopeIndex:
-    """Incrementally maintained candidate rows over a pending list.
-
-    The index mirrors the pending list's membership as per-tape rows
-    ``(position_mb, request_id, request, replica)`` sorted by
-    ``(position, request_id)`` — exactly the working state
-    :meth:`EnvelopeComputer.compute` used to rebuild per call:
-
-    * **Arrival** appends the request's replicas to the affected tapes'
-      add-buffers and dirty-marks those tapes; the next compute merges
-      and re-sorts only dirty tapes (timsort on a nearly-sorted list).
-    * **Removal** (a scheduled sweep, QoS expiry, a fault losing a
-      tape) tombstones the request ids; rows are a *superset* of the
-      live pending set, and every consumer already filters rows against
-      the live request-id set, so stale rows are invisible.  When dead
-      rows outnumber live ones the index compacts — a single amortized
-      rebuild of the tapes that shrank.
-    * **Re-appearance** (a fault-requeued request id) just clears the
-      tombstone: with a static catalog the physical rows are unchanged.
-
-    The index disables itself on catalogs whose replica answers can
-    change mid-run (``dynamic_replicas``, i.e. fault masking): there an
-    append-time row could go stale, so the computer keeps the original
-    rebuild-per-compute path.  ``live_count`` lets the computer verify
-    the index covers exactly the request set it was handed and fall
-    back otherwise.
-    """
-
-    #: Compact only past this many dead rows (skip trivial churn).
-    _COMPACT_FLOOR = 512
-
-    def __init__(self, pending: PendingList) -> None:
-        self.pending = pending
-        self.catalog: BlockCatalog = pending.catalog
-        #: False when the catalog's replica map can change mid-run.
-        self.enabled = not bool(getattr(self.catalog, "dynamic_replicas", False))
-        #: block_id -> replicas, resolved once per block (static catalog).
-        self.block_replicas: Dict[int, Tuple[Replica, ...]] = {}
-        #: tape_id -> sorted rows (may contain tombstoned entries).
-        self.rows: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-        self._adds: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-        self._dirty: Set[int] = set()
-        self._dead: Set[int] = set()
-        self._dead_rows = 0
-        self._live_rows = 0
-        #: Live (non-tombstoned) request count — must equal the pending
-        #: list's length whenever the index is consistent.
-        self.live_count = 0
-        #: Compactions performed (observability for tests/benchmarks).
-        self.compactions = 0
-        if self.enabled:
-            for request in pending:
-                self.on_pending_append(request)
-            pending.add_listener(self)
-
-    def detach(self) -> None:
-        """Unsubscribe from the pending list (when the scheduler moves on)."""
-        if self.enabled:
-            self.pending.remove_listener(self)
-
-    def _replicas(self, block_id: int) -> Tuple[Replica, ...]:
-        replicas = self.block_replicas.get(block_id)
-        if replicas is None:
-            replicas = self.block_replicas[block_id] = self.catalog.replicas_of(
-                block_id
-            )
-        return replicas
-
-    # -- PendingList listener protocol ----------------------------------
-    def on_pending_append(self, request: Request) -> None:
-        """Absorb one arrival into the affected tapes' rows."""
-        request_id = request.request_id
-        replicas = self._replicas(request.block_id)
-        self.live_count += 1
-        self._live_rows += len(replicas)
-        if request_id in self._dead:
-            # A requeued request id: its rows are still physically
-            # present under a tombstone, and the catalog is static, so
-            # clearing the tombstone restores them verbatim.
-            self._dead.discard(request_id)
-            self._dead_rows -= len(replicas)
-            return
-        adds = self._adds
-        dirty = self._dirty
-        for replica in replicas:
-            tape_id = replica.tape_id
-            bucket = adds.get(tape_id)
-            if bucket is None:
-                bucket = adds[tape_id] = []
-            bucket.append((replica.position_mb, request_id, request, replica))
-            dirty.add(tape_id)
-
-    def on_pending_remove(self, requests: Sequence[Request]) -> None:
-        """Tombstone removed requests; their rows die lazily."""
-        dead = self._dead
-        for request in requests:
-            degree = len(self._replicas(request.block_id))
-            dead.add(request.request_id)
-            self._dead_rows += degree
-            self._live_rows -= degree
-            self.live_count -= 1
-
-    # -- consumption -----------------------------------------------------
-    def refresh(self, requests: Sequence[Request]) -> None:
-        """Make the rows current: merge dirty tapes, compact if bloated.
-
-        ``requests`` is the live pending snapshot the caller is about
-        to compute over; it doubles as the row source for compaction.
-        """
-        if self._dirty:
-            rows = self.rows
-            adds = self._adds
-            for tape_id in self._dirty:
-                fresh = adds.pop(tape_id)
-                bucket = rows.get(tape_id)
-                if bucket is None:
-                    fresh.sort()
-                    rows[tape_id] = fresh
-                else:
-                    bucket.extend(fresh)
-                    bucket.sort()
-            self._dirty.clear()
-        if self._dead_rows > self._COMPACT_FLOOR and self._dead_rows > self._live_rows:
-            self._compact(requests)
-
-    def _compact(self, requests: Sequence[Request]) -> None:
-        """Drop tombstoned rows by rebuilding from the live snapshot."""
-        rows: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-        live_rows = 0
-        for request in requests:
-            request_id = request.request_id
-            replicas = self._replicas(request.block_id)
-            live_rows += len(replicas)
-            for replica in replicas:
-                tape_id = replica.tape_id
-                bucket = rows.get(tape_id)
-                if bucket is None:
-                    bucket = rows[tape_id] = []
-                bucket.append((replica.position_mb, request_id, request, replica))
-        for bucket in rows.values():
-            bucket.sort()
-        self.rows = rows
-        self._adds = {}
-        self._dirty.clear()
-        self._dead.clear()
-        self._dead_rows = 0
-        self._live_rows = live_rows
-        self.live_count = len(requests)
-        self.compactions += 1
-
-
 class EnvelopeComputer:
     """Runs steps 1-6 of the major rescheduler's envelope construction."""
 
@@ -282,34 +120,27 @@ class EnvelopeComputer:
         #: studies of the algorithm's design choices.
         self._enable_shrink = enable_shrink
 
-    # -- helpers --------------------------------------------------------
     def _rank_after_mounted(self) -> Dict[int, int]:
         anchor = self._mounted_id if self._mounted_id is not None else -1
         return _rank_after(self._tape_count, anchor + 1)
 
-    def _inside(self, replica: Replica, state: EnvelopeState) -> bool:
-        return replica.position_mb + self._block_mb <= state.envelope.get(
-            replica.tape_id, 0.0
-        )
+    # -- the algorithm ---------------------------------------------------
+    def compute(self, requests: Sequence[Request]) -> EnvelopeState:
+        """Compute the upper envelope covering all ``requests``.
 
-    def _choose_absorption_replica(
-        self, candidates: List[Replica], state: EnvelopeState, rank: Dict[int, int]
-    ) -> Replica:
-        """Step 2 tie-break: mounted tape first, else max scheduled count,
-        then first in jukebox order after the mounted tape."""
-        for replica in candidates:
-            if replica.tape_id == self._mounted_id:
-                return replica
-        return max(
-            candidates,
-            key=lambda replica: (
-                state.scheduled_count.get(replica.tape_id, 0),
-                -rank[replica.tape_id],
-            ),
-        )
+        ``requests`` is not copied: the single defensive copy in the
+        scheduling path is the caller's ``pending.snapshot()`` (or an
+        equivalent list the caller owns).  Pass a sequence that will not
+        be mutated while this call runs — do **not** wrap the argument
+        in another ``list(...)``.
 
-    def _build_working_state(self, requests: Sequence[Request]) -> None:
-        """The rebuild-from-scratch path: replica cache + sorted rows."""
+        Replica lookups are resolved against the catalog once, up
+        front, into per-tape candidate rows
+        ``(position_mb, request_id, request, replica)`` sorted by
+        ``(position, request_id)``; the catalog cannot change during
+        this synchronous call, so the resolved answers are exactly what
+        per-step queries would have returned.
+        """
         catalog = self._catalog
         replicas_of: Dict[int, Tuple[Replica, ...]] = {}
         by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
@@ -323,50 +154,7 @@ class EnvelopeComputer:
                     (replica.position_mb, request.request_id, request, replica)
                 )
         for rows in by_tape.values():
-            rows.sort(key=lambda row: (row[0], row[1]))
-        self._replicas_of = replicas_of
-        self._by_tape = by_tape
-
-    # -- the algorithm ---------------------------------------------------
-    def compute(
-        self, requests: Sequence[Request], index: Optional[EnvelopeIndex] = None
-    ) -> EnvelopeState:
-        """Compute the upper envelope covering all ``requests``.
-
-        ``requests`` is not copied: the single defensive copy in the
-        scheduling path is the caller's ``pending.snapshot()`` (or an
-        equivalent list the caller owns).  Pass a sequence that will not
-        be mutated while this call runs — do **not** wrap the argument
-        in another ``list(...)``.
-
-        ``index`` may supply an :class:`EnvelopeIndex` maintained over
-        the same pending membership as ``requests``; the computer then
-        reuses its replica cache and presorted rows instead of
-        rebuilding them.  The index is used only when it can vouch for
-        itself (enabled, same catalog, live count matching
-        ``len(requests)``); otherwise this call silently falls back to
-        the full rebuild.  Either way the algorithm runs over identical
-        inputs, so the returned state is bit-identical.
-
-        Replica lookups are resolved against the catalog once, up
-        front; the catalog cannot change during this synchronous call,
-        so the cached answers are exactly what per-step queries would
-        have returned.
-        """
-        self._request_index = {request.request_id: request for request in requests}
-        if (
-            index is not None
-            and index.enabled
-            and index.catalog is self._catalog
-            and index.live_count == len(requests)
-        ):
-            index.refresh(requests)
-            self._replicas_of = index.block_replicas
-            self._by_tape = index.rows
-        else:
-            self._build_working_state(requests)
-        replicas_of = self._replicas_of
-        by_tape = self._by_tape
+            rows.sort(key=_row_key)
 
         state = EnvelopeState(
             envelope={tape_id: 0.0 for tape_id in range(self._tape_count)}
@@ -439,20 +227,8 @@ class EnvelopeComputer:
         # those candidates and the rescan skips everything else.  On
         # first entry nothing has been extended since step 2 checked the
         # very same envelope, so the rescan is skipped entirely.
-        #
-        # The step-3 search is likewise incremental across rounds: a
-        # tape's candidate list and best (bandwidth, prefix length) only
-        # change when its envelope moved (extension or shrink) or when a
-        # request with a replica on it left the unscheduled set.
-        # ``extension_cache`` keeps per-tape (live rows, bandwidth,
-        # length); ``stale`` maps each tape the next round must redo to
-        # *how* its inputs moved — "ids" (requests left: refilter the
-        # cached list), "grew" (envelope advanced: bisect + refilter),
-        # "full" (envelope receded: rescan the index rows).  ``None``
-        # means everything is stale (first round).
+        requests_by_id = {request.request_id: request for request in requests}
         newly: Optional[Set[int]] = None
-        extension_cache: Dict[int, tuple] = {}
-        stale: Optional[Dict[int, str]] = None
         while unscheduled:
             if newly:
                 still_outside: List[Request] = []
@@ -477,22 +253,13 @@ class EnvelopeComputer:
                         tape = chosen_replica.tape_id
                         assignment[request.request_id] = chosen_replica
                         counts[tape] = counts_get(tape, 0) + 1
-                        if stale is not None:
-                            # An absorbed request leaves the unscheduled
-                            # set; tapes where its replicas sat at or
-                            # beyond the envelope see a different scan.
-                            for replica in replicas:
-                                if replica.position_mb >= envelope[replica.tape_id]:
-                                    stale.setdefault(replica.tape_id, "ids")
                     else:
                         still_outside.append(request)
                 unscheduled = still_outside
             if not unscheduled:
                 break
 
-            chosen = self._best_extension(
-                unscheduled, state, rank, extension_cache, stale
-            )
+            chosen = self._best_extension(unscheduled, state, rank, by_tape)
             if chosen is None:  # pragma: no cover - every request has a replica
                 raise RuntimeError("unscheduled requests with no extension candidates")
             tape_id, prefix = chosen
@@ -501,21 +268,10 @@ class EnvelopeComputer:
             old_envelope = envelope[tape_id]
             new_envelope = prefix[-1][0] + block_mb
             envelope[tape_id] = new_envelope
-            stale = {tape_id: "grew"}
-            all_stale = self._tape_count == 1
             prefix_ids = set()
             for row in prefix:
-                request_id = row[1]
-                assignment[request_id] = row[3]
-                prefix_ids.add(request_id)
-                if all_stale:
-                    continue
-                # A scheduled request leaves every other tape's candidate
-                # pool; only tapes scanning past its replica notice.
-                for replica in replicas_of[row[2].block_id]:
-                    if replica.position_mb >= envelope[replica.tape_id]:
-                        stale.setdefault(replica.tape_id, "ids")
-                all_stale = len(stale) == self._tape_count
+                assignment[row[1]] = row[3]
+                prefix_ids.add(row[1])
             counts[tape_id] = counts_get(tape_id, 0) + len(prefix)
             unscheduled = [
                 request
@@ -542,12 +298,11 @@ class EnvelopeComputer:
                         newly.add(rows[row_index][1])
 
             # Step 5: shrink other tapes' envelopes where the extension
-            # made a cheaper copy reachable.  A donor's envelope moved
-            # *backwards*, so rows re-enter its candidate window and the
-            # cached list cannot be refiltered — full rescan.
+            # made a cheaper copy reachable.
             if self._enable_shrink:
-                for donor in self._shrink(state, tape_id, old_envelope, rank):
-                    stale[donor] = "full"
+                self._shrink(
+                    state, tape_id, old_envelope, rank, requests_by_id, replicas_of
+                )
 
         return state
 
@@ -556,8 +311,7 @@ class EnvelopeComputer:
         unscheduled: List[Request],
         state: EnvelopeState,
         rank: Dict[int, int],
-        cache: Optional[Dict[int, tuple]] = None,
-        stale: Optional[Dict[int, str]] = None,
+        by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]],
     ) -> Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]]:
         """Step 3: the (tape, prefix) with maximal incremental bandwidth.
 
@@ -571,23 +325,10 @@ class EnvelopeComputer:
         and rank tie-break keys are constants, so the per-tape winner
         is the first length attaining the maximum bandwidth — the same
         element the per-length scan selected.
-
-        ``cache`` holds, per tape, ``(live_rows, bandwidth, length)``
-        from earlier rounds of the same compute — ``live_rows`` being
-        the tape's candidate rows beyond its envelope restricted to
-        then-unscheduled requests.  ``stale`` says how each dirty
-        tape's inputs moved since its cache entry: requests only ever
-        *leave* the unscheduled set and an advanced envelope only
-        *narrows* the window, so "ids"/"grew" tapes refilter their own
-        (shrinking) cached list; only a receded envelope ("full", after
-        step-5 shrinking) or the first round rereads the index rows.
-        The arithmetic consumes the identical filtered sequence either
-        way.  The cross-tape tie-break (scheduled count, jukebox rank)
-        is re-evaluated every round from live state, cached or not.
         """
         constants = extension_constants(self._timing, self._block_mb)
         if constants is None:
-            return self._best_extension_tracked(unscheduled, state, rank)
+            return self._best_extension_tracked(unscheduled, state, rank, by_tape)
         block_mb = self._block_mb
         thr = constants.short_threshold_mb
         fwd_short_b = constants.forward_short_startup
@@ -607,38 +348,18 @@ class EnvelopeComputer:
         state_envelope = state.envelope
 
         unscheduled_ids = {request.request_id for request in unscheduled}
-        by_tape = self._by_tape
-        if cache is None:
-            cache = {}
-            stale = None
-        rescan = range(self._tape_count) if stale is None else stale
-        for tape_id in rescan:
+        best_key: Optional[Tuple[float, int, int]] = None
+        best_live: List[Tuple[float, int, Request, Replica]] = []
+        best_tape = -1
+        best_length = 0
+        for tape_id in range(self._tape_count):
+            rows = by_tape.get(tape_id)
+            if not rows:
+                continue
             envelope = state_envelope[tape_id]
-            mode = "full" if stale is None else stale[tape_id]
-            if mode == "full":
-                rows = by_tape.get(tape_id)
-                if not rows:
-                    cache[tape_id] = ((), None, 0)
-                    continue
-                start = bisect_left(rows, envelope, key=_row_position)
-                live = [
-                    row
-                    for row in rows[start:]
-                    if row[1] in unscheduled_ids
-                ]
-            else:
-                rows = cache[tape_id][0]
-                if mode == "grew":
-                    start = bisect_left(rows, envelope, key=_row_position)
-                    live = [
-                        row
-                        for row in rows[start:]
-                        if row[1] in unscheduled_ids
-                    ]
-                else:  # "ids"
-                    live = [row for row in rows if row[1] in unscheduled_ids]
+            start = bisect_left(rows, envelope, key=_row_position)
+            live = [row for row in rows[start:] if row[1] in unscheduled_ids]
             if not live:
-                cache[tape_id] = ((), None, 0)
                 continue
             switch_s = (
                 full_switch if envelope == 0.0 and tape_id != mounted else 0.0
@@ -689,37 +410,32 @@ class EnvelopeComputer:
                 if tape_best_bandwidth is None or bandwidth > tape_best_bandwidth:
                     tape_best_bandwidth = bandwidth
                     tape_best_length = length
-            cache[tape_id] = (live, tape_best_bandwidth, tape_best_length)
-
-        best_key: Optional[Tuple[float, int, int]] = None
-        best_tape = -1
-        best_length = 0
-        for tape_id in range(self._tape_count):
-            entry = cache.get(tape_id)
-            if entry is None or entry[1] is None:
-                continue
-            key = (entry[1], scheduled_count.get(tape_id, 0), -rank[tape_id])
+            key = (
+                tape_best_bandwidth,
+                scheduled_count.get(tape_id, 0),
+                -rank[tape_id],
+            )
             if best_key is None or key > best_key:
                 best_key = key
+                best_live = live
                 best_tape = tape_id
-                best_length = entry[2]
+                best_length = tape_best_length
         if best_key is None:
             return None
-        # The winning prefix, straight off the cached live rows (losing
-        # tapes never materialize anything beyond their live list).
-        return best_tape, cache[best_tape][0][:best_length]
+        # Only the winning tape's prefix is materialized.
+        return best_tape, best_live[:best_length]
 
     def _best_extension_tracked(
         self,
         unscheduled: List[Request],
         state: EnvelopeState,
         rank: Dict[int, int],
+        by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]],
     ) -> Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]]:
         """The tracker-based step-3 scan (non-standard timing models)."""
         best_key: Optional[Tuple[float, int, int]] = None
         best: Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]] = None
         unscheduled_ids = {request.request_id for request in unscheduled}
-        by_tape = self._by_tape
         for tape_id in range(self._tape_count):
             rows = by_tape.get(tape_id)
             if not rows:
@@ -757,16 +473,13 @@ class EnvelopeComputer:
         extended_tape: int,
         old_envelope: float,
         rank: Dict[int, int],
-    ) -> Set[int]:
+        requests_by_id: Dict[int, Request],
+        replicas_of: Dict[int, Tuple[Replica, ...]],
+    ) -> None:
         """Step 5: move edge requests into the just-extended region of
-        ``extended_tape`` and pull other envelopes back.
-
-        Returns the set of donor tapes whose envelopes were recomputed
-        (so the caller can invalidate their cached extension results).
-        """
+        ``extended_tape`` and pull other envelopes back."""
         block_mb = self._block_mb
         new_envelope = state.envelope[extended_tape]
-        donors: Set[int] = set()
         while True:
             candidates: List[Tuple[int, int, int, Request, Replica]] = []
             for request_id, replica in state.assignment.items():
@@ -775,11 +488,9 @@ class EnvelopeComputer:
                     continue
                 if replica.position_mb + block_mb != state.envelope.get(tape_id, 0.0):
                     continue  # not at the outer edge
-                request = self._assigned_request(request_id)
-                if request is None:
-                    continue
+                request = requests_by_id[request_id]
                 other = None
-                for candidate in self._replicas_of[request.block_id]:
+                for candidate in replicas_of[request.block_id]:
                     if candidate.tape_id == extended_tape:
                         other = candidate
                         break
@@ -797,13 +508,12 @@ class EnvelopeComputer:
                         )
                     )
             if not candidates:
-                return donors
+                return
             # Fewest scheduled requests first; ties to the lowest slot id.
             candidates.sort(key=lambda item: (item[0], item[1]))
             _count, tape_id, _rank, request, target = candidates[0]
             state.assign(request, target)
             self._recompute_envelope(state, tape_id)
-            donors.add(tape_id)
 
     def _recompute_envelope(self, state: EnvelopeState, tape_id: int) -> None:
         """Pull ``tape_id``'s envelope back to its highest remaining block."""
@@ -814,16 +524,6 @@ class EnvelopeComputer:
             if replica.tape_id == tape_id:
                 highest = max(highest, replica.position_mb + block_mb)
         state.envelope[tape_id] = highest
-
-    # ------------------------------------------------------------------
-    # Per-compute working state (set at the top of ``compute``).
-    _request_index: Dict[int, Request] = {}
-    _replicas_of: Dict[int, Tuple[Replica, ...]] = {}
-    _by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-
-    def _assigned_request(self, request_id: int) -> Optional[Request]:
-        """Resolve a request id back to its object (set by compute())."""
-        return self._request_index.get(request_id)
 
 
 class EnvelopeScheduler(Scheduler):
@@ -841,10 +541,6 @@ class EnvelopeScheduler(Scheduler):
             self.name += "-noshrink"
         #: Upper envelope in effect during the current sweep.
         self._active_envelope: Dict[int, float] = {}
-        #: Incremental candidate index bound to the run's pending list
-        #: (None when the pending list or catalog cannot support one).
-        self._index: Optional[EnvelopeIndex] = None
-        self._index_pending: Optional[object] = None
 
     @property
     def policy(self) -> TapeSelectionPolicy:
@@ -852,33 +548,6 @@ class EnvelopeScheduler(Scheduler):
         return self._policy
 
     # ------------------------------------------------------------------
-    def _index_for(self, context: SchedulerContext) -> Optional[EnvelopeIndex]:
-        """The incremental index for this run, created on first use.
-
-        Requires a pending list that broadcasts membership changes
-        (:meth:`~repro.core.pending.PendingList.add_listener`) and a
-        static catalog shared between the pending list and the
-        scheduling context.  Multi-drive pending views and fault-masked
-        catalogs return ``None`` — those runs keep the full
-        rebuild-per-compute path.
-        """
-        pending = context.pending
-        if self._index_pending is pending:
-            return self._index
-        if self._index is not None:
-            self._index.detach()
-        self._index_pending = pending
-        self._index = None
-        if (
-            callable(getattr(pending, "add_listener", None))
-            and callable(getattr(pending, "remove_listener", None))
-            and pending.catalog is context.catalog
-        ):
-            index = EnvelopeIndex(pending)
-            if index.enabled:
-                self._index = index
-        return self._index
-
     def major_reschedule(self, context: SchedulerContext) -> Optional[MajorDecision]:
         requests = context.pending.snapshot()
         if not requests:
@@ -891,19 +560,16 @@ class EnvelopeScheduler(Scheduler):
             head_mb=context.head_mb,
             enable_shrink=self._enable_shrink,
         )
-        state = computer.compute(requests, index=self._index_for(context))
+        state = computer.compute(requests)
         block_mb = context.block_mb
+        catalog = context.catalog
 
         # For each tape: every request satisfiable within the upper
-        # envelope (a superset of the per-tape assignment).  The computer
-        # already resolved every request's replicas against the catalog
-        # during this synchronous call, so its cache answers the same
-        # queries without re-touching the catalog.
-        replicas_cache = computer._replicas_of
+        # envelope (a superset of the per-tape assignment).
         envelope_map = state.envelope
         satisfiable: Dict[int, List[Request]] = {}
         for request in requests:
-            for replica in replicas_cache[request.block_id]:
+            for replica in catalog.replicas_of(request.block_id):
                 if replica.position_mb + block_mb <= envelope_map.get(
                     replica.tape_id, 0.0
                 ):
@@ -916,13 +582,8 @@ class EnvelopeScheduler(Scheduler):
                 if request.block_id in seen:
                     continue
                 seen.add(request.block_id)
-                # A block has at most one copy per tape, so the first
-                # cached replica on ``tape_id`` is the ``replica_on``
-                # answer.
-                for replica in replicas_cache[request.block_id]:
-                    if replica.tape_id == tape_id:
-                        positions.append(replica.position_mb)
-                        break
+                replica = catalog.replica_on(request.block_id, tape_id)
+                positions.append(replica.position_mb)
             return positions
 
         selection = SelectionContext(
@@ -960,7 +621,7 @@ class EnvelopeScheduler(Scheduler):
         if context.catalog.has_replica_on(request.block_id, mounted):
             replica = context.catalog.replica_on(request.block_id, mounted)
             if replica.position_mb + block_mb <= envelope.get(mounted, 0.0):
-                if self._insert_into_sweep(service, request, replica):
+                if insert_into_sweep(context, request):
                     return True
                 context.pending.append(request)
                 return False
@@ -992,7 +653,7 @@ class EnvelopeScheduler(Scheduler):
                 best_replica = replica
 
         if best_tape == mounted and best_replica is not None:
-            if self._insert_into_sweep(service, request, best_replica):
+            if insert_into_sweep(context, request):
                 self._active_envelope[mounted] = max(
                     self._active_envelope.get(mounted, 0.0),
                     best_replica.position_mb + block_mb,
@@ -1000,18 +661,6 @@ class EnvelopeScheduler(Scheduler):
                 return True
         context.pending.append(request)
         return False
-
-    def _insert_into_sweep(self, service, request: Request, replica: Replica) -> bool:
-        existing = service.find_block(request.block_id)
-        if existing is not None:
-            existing.attach(request)
-            return True
-        entry = ServiceEntry(
-            position_mb=replica.position_mb,
-            block_id=request.block_id,
-            requests=[request],
-        )
-        return service.insert(entry)
 
     def on_sweep_complete(self, context: SchedulerContext) -> None:
         self._active_envelope = {}

@@ -45,7 +45,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
-from .base import MajorDecision, Scheduler, SchedulerContext, coalesce_entries
+from .base import (
+    MajorDecision,
+    Scheduler,
+    SchedulerContext,
+    coalesce_entries,
+    insert_into_sweep,
+)
 from .policies import jukebox_order
 from .sweep import ServiceEntry, SweepPhase
 
@@ -458,10 +464,6 @@ class OrderedServiceList:
             return self._in_flight.position_mb + self._block_mb, False
         return self._head_mb, self._startup_pending
 
-    def adopt(self, order: Sequence[ServiceEntry]) -> None:
-        """Replace the not-yet-started remainder with ``order``."""
-        self._entries = list(order)
-
     # -- insertion ----------------------------------------------------------
     def can_insert(self, position_mb: float) -> bool:
         """An explicit order can always accommodate one more read."""
@@ -565,25 +567,7 @@ class _BatchScheduler(Scheduler):
         return MajorDecision(tape_id=tape_id, entries=list(order))
 
     def on_arrival(self, context: SchedulerContext, request: Request) -> bool:
-        service = context.service
-        mounted = context.mounted_id
-        if service is None or mounted is None:
-            context.pending.append(request)
-            return False
-        if not context.catalog.has_replica_on(request.block_id, mounted):
-            context.pending.append(request)
-            return False
-        existing = service.find_block(request.block_id)
-        if existing is not None:
-            existing.attach(request)
-            return True
-        replica = context.catalog.replica_on(request.block_id, mounted)
-        entry = ServiceEntry(
-            position_mb=replica.position_mb,
-            block_id=request.block_id,
-            requests=[request],
-        )
-        if service.insert(entry):
+        if insert_into_sweep(context, request):
             return True
         context.pending.append(request)
         return False

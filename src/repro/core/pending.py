@@ -41,29 +41,6 @@ class PendingList:
         #: True when the catalog's replica answers can change mid-run
         #: (fault masking); forces per-query re-filtering.
         self._dynamic = bool(getattr(catalog, "dynamic_replicas", False))
-        #: Membership listeners (e.g. the envelope scheduler's
-        #: :class:`~repro.core.envelope.EnvelopeIndex`).  Every mutation
-        #: path — scheduler removals, QoS expiry, starvation promotion,
-        #: fault requeues — funnels through :meth:`append` /
-        #: :meth:`remove_many`, so a listener sees the exact membership
-        #: history no matter which subsystem mutated the list.
-        self._listeners: List[object] = []
-
-    def add_listener(self, listener: object) -> None:
-        """Subscribe ``listener`` to membership changes.
-
-        The listener must expose ``on_pending_append(request)`` and
-        ``on_pending_remove(requests)``; both are invoked synchronously
-        after the list has been updated.
-        """
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: object) -> None:
-        """Unsubscribe a listener previously added (no-op if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     def __len__(self) -> int:
         return len(self._requests)
@@ -97,8 +74,6 @@ class PendingList:
             if bucket is None:
                 bucket = by_tape[tape_id] = {}
             bucket[request_id] = request
-        for listener in self._listeners:
-            listener.on_pending_append(request)
 
     def oldest(self) -> Optional[Request]:
         """The request at the head of the list, or ``None`` when empty."""
@@ -152,8 +127,6 @@ class PendingList:
             del self._by_id[request_id]
             for tape_id in self._tapes_of.pop(request_id):
                 del by_tape[tape_id][request_id]
-        for listener in self._listeners:
-            listener.on_pending_remove(requests)
 
     def snapshot(self) -> List[Request]:
         """Copy of the pending requests in arrival order."""

@@ -16,6 +16,7 @@ from typing import Optional
 from ..faults.config import FaultConfig
 from ..layout.placement import Layout
 from ..qos.config import QoSConfig
+from ..tape.technology import check_drive_technology
 
 #: The paper simulates 10 million seconds; the default here is shorter
 #: (steady-state means converge much earlier) and benchmarks can dial it.
@@ -44,8 +45,9 @@ class ExperimentConfig:
     seed: int = 42
     pack_cold: bool = False
     drive_speedup: float = 1.0
-    #: "helical" = the paper's single-pass EXB-8505XL model;
-    #: "serpentine" = the DLT-style extension model (see repro.tape.serpentine).
+    #: A key of :data:`repro.tape.DRIVE_TECHNOLOGIES`: "helical" = the
+    #: paper's single-pass EXB-8505XL model; "serpentine" = the
+    #: DLT-style extension model (see repro.tape.serpentine).
     drive_technology: str = "helical"
     #: Drives per jukebox; > 1 runs the multi-drive extension (no
     #: envelope schedulers — see repro.service.simulator).
@@ -67,11 +69,7 @@ class ExperimentConfig:
     qos: Optional[QoSConfig] = None
 
     def __post_init__(self) -> None:
-        if self.drive_technology not in ("helical", "serpentine"):
-            raise ValueError(
-                f"drive_technology must be 'helical' or 'serpentine', "
-                f"got {self.drive_technology!r}"
-            )
+        check_drive_technology(self.drive_technology)
         if self.drive_count < 1:
             raise ValueError(f"drive_count must be >= 1, got {self.drive_count!r}")
         if self.zipf_theta is not None and self.zipf_theta < 0:

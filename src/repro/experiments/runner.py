@@ -16,7 +16,7 @@ from ..obs.tracer import Tracer
 from ..qos.manager import QoSManager
 from ..service.metrics import MetricsCollector, MetricsReport
 from ..service.simulator import JukeboxSimulator
-from ..tape.timing import EXB_8505XL
+from ..tape.technology import timing_model
 from ..workload.closed import ClosedSource
 from ..workload.open import OpenSource
 from ..workload.skew import HotColdSkew
@@ -78,14 +78,7 @@ def build_simulator(
     share one config identity (campaign cache keys, digests, and the
     golden-hash pins are all computed from the config alone).
     """
-    if config.drive_technology == "serpentine":
-        from ..tape.serpentine import DLT_STYLE
-
-        timing = DLT_STYLE
-    else:
-        timing = EXB_8505XL
-    if config.drive_speedup != 1.0:
-        timing = timing.scaled(config.drive_speedup)
+    timing = timing_model(config.drive_technology, config.drive_speedup)
     spec = PlacementSpec(
         layout=config.layout,
         percent_hot=config.percent_hot,

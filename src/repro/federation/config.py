@@ -28,6 +28,7 @@ from typing import Optional, Sequence, Tuple
 from ..faults.config import FaultConfig
 from ..layout.placement import Layout
 from ..qos.config import QoSConfig
+from ..tape.technology import check_drive_technology
 from .registry import global_policy_names
 
 #: Replica placement modes (the fleet-level analogue of the paper's
@@ -62,11 +63,7 @@ class LibraryConfig:
             raise ValueError(
                 f"drive_speedup must be positive, got {self.drive_speedup!r}"
             )
-        if self.drive_technology not in ("helical", "serpentine"):
-            raise ValueError(
-                f"drive_technology must be 'helical' or 'serpentine', "
-                f"got {self.drive_technology!r}"
-            )
+        check_drive_technology(self.drive_technology)
 
     def with_(self, **overrides) -> "LibraryConfig":
         """A copy with ``overrides`` applied."""

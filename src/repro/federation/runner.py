@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from ..experiments.config import ExperimentConfig
 from ..rng import derive_seed
 from ..service.metrics import MetricsCollector, MetricsReport
-from ..tape.timing import EXB_8505XL
+from ..tape.technology import timing_model
 from .config import FederationConfig, LibraryConfig
 from .policies import FleetState, GlobalPolicy
 from .registry import make_global_policy
@@ -75,14 +75,7 @@ def predicted_service_s(library: LibraryConfig, block_mb: float) -> float:
     a shared pending list.  Only *relative* magnitudes matter: the
     predicted-service policy compares libraries, never absolute times.
     """
-    if library.drive_technology == "serpentine":
-        from ..tape.serpentine import DLT_STYLE
-
-        timing = DLT_STYLE
-    else:
-        timing = EXB_8505XL
-    if library.drive_speedup != 1.0:
-        timing = timing.scaled(library.drive_speedup)
+    timing = timing_model(library.drive_technology, library.drive_speedup)
     estimate = (
         timing.switch() / 8.0
         + timing.locate(0.0, library.capacity_mb / 3.0)

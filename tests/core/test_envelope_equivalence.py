@@ -1,12 +1,12 @@
 """The optimized EnvelopeComputer makes the same decisions, provably.
 
-The production computer (indexed candidate rows, bisect prefix skip,
+The production computer (presorted candidate rows, bisect prefix skip,
 cached replica lookups, shared rank tables) must produce an
 :class:`EnvelopeState` identical — envelope, assignment, and per-tape
 counts — to the original per-request scan-and-sort implementation, which
 is preserved below as the reference oracle.  Randomized catalogs and
-request mixes sweep mounted/unmounted heads, replication degrees, and
-shrink on/off.
+request mixes sweep mounted/unmounted heads, replication degrees,
+shrink on/off, and helical/serpentine timing.
 """
 
 import random
@@ -18,6 +18,7 @@ from repro.core.cost import ExtensionCostTracker
 from repro.core.envelope import EnvelopeComputer, EnvelopeState
 from repro.core.policies import jukebox_order
 from repro.layout.catalog import BlockCatalog, Replica
+from repro.tape.serpentine import DLT_STYLE
 from repro.tape.timing import EXB_8505XL
 from repro.workload.requests import Request
 
@@ -270,18 +271,27 @@ SCENARIOS = [
 ]
 
 
+def _scenario_id(scenario) -> str:
+    return "-".join(str(value) for value in scenario)
+
+
+# Helical cases run the flattened-constants step-3 scan; serpentine cases
+# run the tracker scan, the path for every other timing model.
 @pytest.mark.parametrize(
-    "seed,tape_count,n_blocks,n_requests,mounted,head_mb,shrink",
-    SCENARIOS,
+    "seed,tape_count,n_blocks,n_requests,mounted,head_mb,shrink,timing",
+    [(*scenario, EXB_8505XL) for scenario in SCENARIOS]
+    + [(*scenario, DLT_STYLE) for scenario in SCENARIOS],
+    ids=[_scenario_id(scenario) for scenario in SCENARIOS]
+    + ["serpentine-" + _scenario_id(scenario) for scenario in SCENARIOS],
 )
 def test_optimized_matches_reference(
-    seed, tape_count, n_blocks, n_requests, mounted, head_mb, shrink
+    seed, tape_count, n_blocks, n_requests, mounted, head_mb, shrink, timing
 ):
     rng = random.Random(seed)
     catalog = random_catalog(rng, tape_count, n_blocks)
     requests = random_requests(rng, n_blocks, n_requests)
     kwargs = dict(
-        timing=EXB_8505XL,
+        timing=timing,
         catalog=catalog,
         tape_count=tape_count,
         mounted_id=mounted,

@@ -1,4 +1,4 @@
-"""Unit tests for tapes, the robot arm, and the jukebox composition."""
+"""Unit tests for tapes and the jukebox composition."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.obs import Tracer
 from repro.tape import (
     DEFAULT_TAPE_CAPACITY_MB,
     EXB_8505XL,
-    RobotArm,
-    RobotError,
     Tape,
     TapePool,
 )
@@ -58,29 +56,6 @@ class TestTapePool:
         pool = TapePool.uniform(4)
         assert pool.jukebox_order(start_after=1) == [2, 3, 0, 1]
         assert pool.jukebox_order(start_after=3) == [0, 1, 2, 3]
-
-
-class TestRobotArm:
-    def test_swap_moves_tapes(self):
-        robot = RobotArm(timing=EXB_8505XL, slot_count=3)
-        seconds = robot.swap(1)
-        assert seconds == pytest.approx(20.0)
-        assert robot.in_drive == 1
-        assert robot.in_slots == {0, 2}
-
-    def test_swap_returns_old_tape_to_slots(self):
-        robot = RobotArm(timing=EXB_8505XL, slot_count=3)
-        robot.swap(1)
-        robot.swap(2)
-        assert robot.in_drive == 2
-        assert robot.in_slots == {0, 1}
-        assert robot.swaps == 2
-
-    def test_swap_missing_tape_rejected(self):
-        robot = RobotArm(timing=EXB_8505XL, slot_count=2)
-        robot.swap(0)
-        with pytest.raises(RobotError):
-            robot.swap(0)  # already in the drive, not in a slot
 
 
 def _traced_run():
