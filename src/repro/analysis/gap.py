@@ -89,7 +89,7 @@ def gap_scenarios(
     Queue sweep (closed-loop intensity), replication (NR-4 vertical at
     SP-1, the paper's best placement), faults (media errors with replica
     failover), QoS (starvation guard active), serpentine drives, and a
-    two-drive jukebox.
+    three-drive jukebox.
     """
 
     def base(**overrides) -> ExperimentConfig:

@@ -28,6 +28,7 @@ from repro.core import (
     sweep_order,
 )
 from repro.core.sweep import ServiceEntry
+from repro.tape.serpentine import DLT_STYLE
 from repro.tape.timing import DriveTimingModel
 from repro.workload import RequestFactory
 
@@ -35,6 +36,7 @@ from .conftest import catalog_from, make_context, mount
 
 TIMING = DriveTimingModel()
 BLOCK_MB = 16.0
+TIMINGS = {"helical": TIMING, "serpentine": DLT_STYLE}
 
 
 def make_entries(spec, factory=None):
@@ -54,11 +56,13 @@ def make_entries(spec, factory=None):
     return entries
 
 
-def brute_force_cost(entries, head_mb, deferred_weight=0.0, startup=True):
+def brute_force_cost(
+    entries, head_mb, deferred_weight=0.0, startup=True, timing=TIMING
+):
     """The exhaustive minimum of the objective over all permutations."""
     return min(
         order_cost(
-            TIMING,
+            timing,
             head_mb,
             list(permutation),
             BLOCK_MB,
@@ -75,32 +79,44 @@ def random_instance(rng, count):
         for _ in range(count)
     ]
     head = rng.choice([0.0, rng.uniform(0.0, 6000.0)])
-    deferred = rng.choice([0.0, float(rng.randint(1, 40))])
+    # Up to the gap regime: at Q-100 most pending requests wait on other tapes.
+    deferred = rng.choice([0.0, float(rng.randint(1, 90))])
     startup = rng.random() < 0.5
     return spec, head, deferred, startup
 
 
+#: Helical cases keep their plain ids; serpentine runs up to m = 8 here
+#: (the helical m = 8 case is ``test_matches_brute_force_at_eight``).
+BRUTE_FORCE_CASES = [
+    pytest.param(count, "helical", id=str(count)) for count in range(1, 8)
+] + [
+    pytest.param(count, "serpentine", id=f"serpentine-{count}")
+    for count in range(1, 9)
+]
+
+
 class TestOptimalOrder:
-    @pytest.mark.parametrize("count", range(1, 8))
-    def test_matches_brute_force(self, count):
+    @pytest.mark.parametrize("count, technology", BRUTE_FORCE_CASES)
+    def test_matches_brute_force(self, count, technology):
         """Exact == exhaustive minimum on every enumerable instance."""
+        timing = TIMINGS[technology]
         rng = random.Random(count)
         for _ in range(6):
             spec, head, deferred, startup = random_instance(rng, count)
             entries = make_entries(spec)
             plan = optimal_order(
-                TIMING,
+                timing,
                 head,
                 entries,
                 BLOCK_MB,
                 deferred_weight=deferred,
                 startup_pending=startup,
             )
-            expected = brute_force_cost(entries, head, deferred, startup)
+            expected = brute_force_cost(entries, head, deferred, startup, timing)
             assert plan.exact
             assert plan.cost_s == pytest.approx(expected, rel=1e-12)
             executed = order_cost(
-                TIMING,
+                timing,
                 head,
                 plan.order,
                 BLOCK_MB,
@@ -126,6 +142,19 @@ class TestOptimalOrder:
         assert plan.cost_s == pytest.approx(
             brute_force_cost(entries, head, deferred, startup), rel=1e-12
         )
+
+    def test_fourteen_block_gap_batch_is_exact_at_default_budget(self):
+        """A Q-100 batch (14 blocks, 86 requests deferred to other tapes)
+        that the read-time bound could not finish within the default
+        budget; the cheapest-step bound proves it with room to spare."""
+        positions = [
+            400.0, 688.0, 2576.0, 1168.0, 272.0, 6880.0, 80.0,
+            1536.0, 3296.0, 3040.0, 176.0, 5120.0, 192.0, 384.0,
+        ]
+        entries = make_entries([(position, 1) for position in positions])
+        plan = optimal_order(TIMING, 0.0, entries, BLOCK_MB, deferred_weight=86.0)
+        assert plan.exact
+        assert sorted(entry.block_id for entry in plan.order) == list(range(14))
 
     @pytest.mark.parametrize("count", [2, 4, 6])
     def test_never_worse_than_any_heuristic_order(self, count):
