@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..layout.catalog import BlockCatalog
 from ..tape.drive import DriveView
@@ -80,25 +80,28 @@ class MajorDecision:
 
 
 def coalesce_entries(
-    requests: List[Request],
-    tape_id: int,
-    catalog: BlockCatalog,
+    requests: Sequence[Request],
+    positions: Sequence[float],
 ) -> List[ServiceEntry]:
-    """Build one :class:`ServiceEntry` per distinct block on ``tape_id``.
+    """Build one :class:`ServiceEntry` per distinct block of ``requests``.
 
-    Multiple outstanding requests for the same logical block share a
-    single physical read.
+    ``positions[i]`` is where the copy read for ``requests[i]`` starts on
+    the chosen tape (see :meth:`PendingList.positions_on`).  Multiple
+    outstanding requests for the same logical block share a single
+    physical read; entries and their requests keep the order given.
     """
     by_block: Dict[int, ServiceEntry] = {}
     entries: List[ServiceEntry] = []
-    for request in requests:
-        entry = by_block.get(request.block_id)
+    for request, position_mb in zip(requests, positions):
+        block_id = request.block_id
+        entry = by_block.get(block_id)
         if entry is None:
-            replica = catalog.replica_on(request.block_id, tape_id)
-            entry = ServiceEntry(position_mb=replica.position_mb, block_id=request.block_id)
-            by_block[request.block_id] = entry
+            entry = by_block[block_id] = ServiceEntry(
+                position_mb=position_mb, block_id=block_id, requests=[request]
+            )
             entries.append(entry)
-        entry.attach(request)
+        else:
+            entry.requests.append(request)
     return entries
 
 
@@ -115,17 +118,25 @@ def insert_into_sweep(context: SchedulerContext, request: Request) -> bool:
     mounted = context.mounted_id
     if service is None or mounted is None:
         return False
-    catalog = context.catalog
-    if not catalog.has_replica_on(request.block_id, mounted):
-        return False
+    for replica in context.catalog.replicas_of(request.block_id):
+        if replica.tape_id == mounted:
+            return insert_at(service, request, replica.position_mb)
+    return False
+
+
+def insert_at(service: ServiceList, request: Request, position_mb: float) -> bool:
+    """Absorb ``request``, whose copy on the mounted tape is at ``position_mb``.
+
+    The second half of :func:`insert_into_sweep`, for callers that have
+    already resolved the mounted copy.
+    """
     existing = service.find_block(request.block_id)
     if existing is not None:
         existing.attach(request)
         return True
-    replica = catalog.replica_on(request.block_id, mounted)
     return service.insert(
         ServiceEntry(
-            position_mb=replica.position_mb,
+            position_mb=position_mb,
             block_id=request.block_id,
             requests=[request],
         )

@@ -23,13 +23,26 @@ into the dynamic max-bandwidth algorithm" without replicas.
 Performance model
 -----------------
 Every major reschedule computes the envelope from the pending snapshot
-it is handed: :meth:`EnvelopeComputer.compute` resolves each request's
-replicas against the catalog once, builds per-tape candidate rows
-sorted by ``(position, request_id)``, and runs steps 1-6 over them.  No
-state survives the call.  Inside it, the step-3 search evaluates
-incremental bandwidth through flattened timing constants
-(:func:`~repro.core.cost.extension_constants`) instead of per-length
-tracker calls, and the absorb rescan after an extension only visits
+it is handed, and resolves each request's replicas against the catalog
+exactly once: :meth:`EnvelopeComputer.compute` builds per-tape candidate
+rows — the non-replicated requests' rows (always inside the envelope)
+and the replicated requests' rows sorted by ``(position, request_id)``
+— and runs steps 1-6 over them.  Tape selection then reads the same
+rows: the requests satisfiable inside the envelope on a tape are its
+pinned rows plus a prefix of its sorted rows, their positions feed the
+max-bandwidth pricing, and only the chosen tape's rows are put back in
+arrival order to build the sweep.  No state survives the reschedule
+except the envelope the sweep runs under.
+
+Candidates are priced call-free through flattened timing constants
+(:func:`~repro.core.cost.extension_constants`) whenever the timing model
+is an exact :class:`~repro.tape.timing.DriveTimingModel`: the step-3
+search, the max-bandwidth sweep pricing (inside
+:func:`~repro.core.cost.effective_bandwidths`) and the per-arrival
+one-block extension of each copy.  Other timing models take the
+tracker and method path, pricing every candidate as the paper's
+algorithm states it; the arrival argmax over the copies is the same
+loop either way.  The absorb rescan after an extension only visits
 requests whose replica on the extended tape newly fell inside the
 envelope — the only requests whose absorption status can change.
 """
@@ -50,15 +63,23 @@ from .base import (
     Scheduler,
     SchedulerContext,
     coalesce_entries,
-    insert_into_sweep,
+    insert_at,
 )
-from .cost import MB, ExtensionCostTracker, extension_constants
+from .cost import (
+    MB,
+    ExtensionCostTracker,
+    extension_bandwidth,
+    extension_constants,
+)
 from .policies import SelectionContext, TapeSelectionPolicy, jukebox_order
 
-#: Bisect and sort keys of a candidate row
-#: ``(position_mb, request_id, request, replica)``.
+#: A candidate row ``(position_mb, request_id, request, replica,
+#: arrival_index)``: one copy of one pending request.
+_Row = Tuple[float, int, Request, Replica, int]
+
+#: Bisect key and arrival-order key of a candidate row.
 _row_position = itemgetter(0)
-_row_key = itemgetter(0, 1)
+_row_arrival = itemgetter(4)
 
 
 @lru_cache(maxsize=256)
@@ -86,6 +107,17 @@ class EnvelopeState:
     assignment: Dict[int, Replica] = field(default_factory=dict)
     #: Per-tape count of requests currently assigned to it.
     scheduled_count: Dict[int, int] = field(default_factory=dict)
+    #: ``rows[tape_id]``: the candidate rows ``(position_mb, request_id,
+    #: request, replica, arrival_index)`` of the *replicated* requests
+    #: with a copy on that tape, sorted by ``(position_mb, request_id)``;
+    #: those inside the envelope form a prefix.
+    rows: List[List[_Row]] = field(default_factory=list)
+    #: ``pinned[tape_id]``: the rows of the non-replicated requests on
+    #: that tape, in arrival order.  Step 1 pins the envelope over all
+    #: of them and nothing moves them, so they are always inside.  With
+    #: :attr:`rows` they let tape selection read every request
+    #: satisfiable inside the envelope without asking the catalog again.
+    pinned: List[List[_Row]] = field(default_factory=list)
 
     def assign(self, request: Request, replica: Replica) -> None:
         """Bind ``request`` to ``replica``, updating the per-tape counts."""
@@ -135,70 +167,75 @@ class EnvelopeComputer:
         in another ``list(...)``.
 
         Replica lookups are resolved against the catalog once, up
-        front, into per-tape candidate rows
-        ``(position_mb, request_id, request, replica)`` sorted by
-        ``(position, request_id)``; the catalog cannot change during
-        this synchronous call, so the resolved answers are exactly what
-        per-step queries would have returned.
+        front, into per-tape candidate rows (see :attr:`EnvelopeState.rows`
+        and :attr:`EnvelopeState.pinned`); the catalog cannot change
+        during this synchronous call, so the resolved answers are
+        exactly what per-step queries would have returned.  Only
+        replicated requests can be left outside the envelope, so steps
+        3-6 scan only their rows.  Request ids are unique in a pending
+        list, so sorting the row tuples orders them by ``(position_mb,
+        request_id)``.
         """
         catalog = self._catalog
+        block_mb = self._block_mb
+        mounted = self._mounted_id
+        envelope = {tape_id: 0.0 for tape_id in range(self._tape_count)}
+        rows: List[List[_Row]] = [[] for _ in range(self._tape_count)]
+        pinned: List[List[_Row]] = [[] for _ in range(self._tape_count)]
         replicas_of: Dict[int, Tuple[Replica, ...]] = {}
-        by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]] = {}
-        for request in requests:
+        resolved: List[Tuple[Replica, ...]] = []
+
+        # Resolve every request's copies into the rows and, in the same
+        # pass, step 1: pin the envelope with the highest non-replicated
+        # request per tape (and with the current head on the mounted
+        # tape, below).
+        for index, request in enumerate(requests):
             block_id = request.block_id
             replicas = replicas_of.get(block_id)
             if replicas is None:
                 replicas = replicas_of[block_id] = catalog.replicas_of(block_id)
-            for replica in replicas:
-                by_tape.setdefault(replica.tape_id, []).append(
-                    (replica.position_mb, request.request_id, request, replica)
-                )
-        for rows in by_tape.values():
-            rows.sort(key=_row_key)
-
-        state = EnvelopeState(
-            envelope={tape_id: 0.0 for tape_id in range(self._tape_count)}
-        )
-        rank = self._rank_after_mounted()
-        block_mb = self._block_mb
-
-        # Step 1: pin the envelope with the highest non-replicated request
-        # per tape, and with the current head on the mounted tape.
-        for request in requests:
-            replicas = replicas_of[request.block_id]
-            if len(replicas) == 1:
-                replica = replicas[0]
-                end = replica.position_mb + block_mb
-                if end > state.envelope[replica.tape_id]:
-                    state.envelope[replica.tape_id] = end
-        if self._mounted_id is not None:
-            state.envelope[self._mounted_id] = max(
-                state.envelope[self._mounted_id], self._head_mb
-            )
-
-        # Step 2: absorb everything already inside the envelope.  With a
-        # single copy the tie-break trivially returns it, so the common
-        # unreplicated case skips the candidate scan entirely.  All
-        # assignments here are first-time (nothing is assigned yet), so
-        # the ``state.assign`` bookkeeping inlines to two dict writes —
-        # the same applies to every absorb/extend assignment below
-        # (only step 5's *re*-assignments need the full method).
-        envelope = state.envelope
-        assignment = state.assignment
-        counts = state.scheduled_count
-        counts_get = counts.get
-        mounted = self._mounted_id
-        unscheduled: List[Request] = []
-        for request in requests:
-            replicas = replicas_of[request.block_id]
+            resolved.append(replicas)
             if len(replicas) == 1:
                 replica = replicas[0]
                 tape = replica.tape_id
-                if replica.position_mb + block_mb <= envelope[tape]:
-                    assignment[request.request_id] = replica
-                    counts[tape] = counts_get(tape, 0) + 1
-                else:
-                    unscheduled.append(request)
+                position = replica.position_mb
+                pinned[tape].append(
+                    (position, request.request_id, request, replica, index)
+                )
+                end = position + block_mb
+                if end > envelope[tape]:
+                    envelope[tape] = end
+                continue
+            request_id = request.request_id
+            for replica in replicas:
+                rows[replica.tape_id].append(
+                    (replica.position_mb, request_id, request, replica, index)
+                )
+        for tape_rows in rows:
+            tape_rows.sort()
+        if mounted is not None:
+            envelope[mounted] = max(envelope[mounted], self._head_mb)
+
+        state = EnvelopeState(envelope=envelope, rows=rows, pinned=pinned)
+        rank = self._rank_after_mounted()
+
+        # Step 2: absorb everything already inside the envelope.  Step 1
+        # pinned every non-replicated request inside, so those are
+        # assigned outright.  All assignments here are first-time
+        # (nothing is assigned yet), so the ``state.assign`` bookkeeping
+        # inlines to two dict writes — the same applies to every
+        # absorb/extend assignment below (only step 5's *re*-assignments
+        # need the full method).
+        assignment = state.assignment
+        counts = state.scheduled_count
+        counts_get = counts.get
+        unscheduled: List[Request] = []
+        for request, replicas in zip(requests, resolved):
+            if len(replicas) == 1:
+                replica = replicas[0]
+                tape = replica.tape_id
+                assignment[request.request_id] = replica
+                counts[tape] = counts_get(tape, 0) + 1
                 continue
             chosen_replica = None
             chosen_key = None
@@ -227,7 +264,7 @@ class EnvelopeComputer:
         # those candidates and the rescan skips everything else.  On
         # first entry nothing has been extended since step 2 checked the
         # very same envelope, so the rescan is skipped entirely.
-        requests_by_id = {request.request_id: request for request in requests}
+        requests_by_id: Optional[Dict[int, Request]] = None
         newly: Optional[Set[int]] = None
         while unscheduled:
             if newly:
@@ -259,7 +296,7 @@ class EnvelopeComputer:
             if not unscheduled:
                 break
 
-            chosen = self._best_extension(unscheduled, state, rank, by_tape)
+            chosen = self._best_extension(unscheduled, state, rank, rows)
             if chosen is None:  # pragma: no cover - every request has a replica
                 raise RuntimeError("unscheduled requests with no extension candidates")
             tape_id, prefix = chosen
@@ -284,22 +321,22 @@ class EnvelopeComputer:
             # deliberately slack (rounding-proof); membership uses the
             # exact inequality the absorb pass applies.
             newly = set()
-            rows = by_tape.get(tape_id)
-            if rows:
-                low = bisect_left(
-                    rows, old_envelope - 2.0 * block_mb, key=_row_position
-                )
-                for row_index in range(low, len(rows)):
-                    position = rows[row_index][0]
-                    end = position + block_mb
-                    if end > new_envelope:
-                        break
-                    if end > old_envelope:
-                        newly.add(rows[row_index][1])
+            tape_rows = rows[tape_id]
+            low = bisect_left(
+                tape_rows, old_envelope - 2.0 * block_mb, key=_row_position
+            )
+            for row_index in range(low, len(tape_rows)):
+                end = tape_rows[row_index][0] + block_mb
+                if end > new_envelope:
+                    break
+                if end > old_envelope:
+                    newly.add(tape_rows[row_index][1])
 
             # Step 5: shrink other tapes' envelopes where the extension
             # made a cheaper copy reachable.
             if self._enable_shrink:
+                if requests_by_id is None:
+                    requests_by_id = {request.request_id: request for request in requests}
                 self._shrink(
                     state, tape_id, old_envelope, rank, requests_by_id, replicas_of
                 )
@@ -311,8 +348,8 @@ class EnvelopeComputer:
         unscheduled: List[Request],
         state: EnvelopeState,
         rank: Dict[int, int],
-        by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]],
-    ) -> Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]]:
+        rows: List[List[_Row]],
+    ) -> Optional[Tuple[int, List[_Row]]]:
         """Step 3: the (tape, prefix) with maximal incremental bandwidth.
 
         The fast path flattens the timing model into constants and runs
@@ -328,7 +365,7 @@ class EnvelopeComputer:
         """
         constants = extension_constants(self._timing, self._block_mb)
         if constants is None:
-            return self._best_extension_tracked(unscheduled, state, rank, by_tape)
+            return self._best_extension_tracked(unscheduled, state, rank, rows)
         block_mb = self._block_mb
         thr = constants.short_threshold_mb
         fwd_short_b = constants.forward_short_startup
@@ -349,16 +386,16 @@ class EnvelopeComputer:
 
         unscheduled_ids = {request.request_id for request in unscheduled}
         best_key: Optional[Tuple[float, int, int]] = None
-        best_live: List[Tuple[float, int, Request, Replica]] = []
+        best_live: List[_Row] = []
         best_tape = -1
         best_length = 0
-        for tape_id in range(self._tape_count):
-            rows = by_tape.get(tape_id)
-            if not rows:
-                continue
+        for tape_id, tape_rows in enumerate(rows):
             envelope = state_envelope[tape_id]
-            start = bisect_left(rows, envelope, key=_row_position)
-            live = [row for row in rows[start:] if row[1] in unscheduled_ids]
+            live = [
+                row
+                for row in tape_rows
+                if row[0] >= envelope and row[1] in unscheduled_ids
+            ]
             if not live:
                 continue
             switch_s = (
@@ -430,19 +467,18 @@ class EnvelopeComputer:
         unscheduled: List[Request],
         state: EnvelopeState,
         rank: Dict[int, int],
-        by_tape: Dict[int, List[Tuple[float, int, Request, Replica]]],
-    ) -> Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]]:
+        rows: List[List[_Row]],
+    ) -> Optional[Tuple[int, List[_Row]]]:
         """The tracker-based step-3 scan (non-standard timing models)."""
         best_key: Optional[Tuple[float, int, int]] = None
-        best: Optional[Tuple[int, List[Tuple[float, int, Request, Replica]]]] = None
+        best: Optional[Tuple[int, List[_Row]]] = None
         unscheduled_ids = {request.request_id for request in unscheduled}
-        for tape_id in range(self._tape_count):
-            rows = by_tape.get(tape_id)
-            if not rows:
+        for tape_id, tape_rows in enumerate(rows):
+            if not tape_rows:
                 continue
             envelope = state.envelope[tape_id]
-            start = bisect_left(rows, envelope, key=_row_position)
-            extension = [row for row in rows[start:] if row[1] in unscheduled_ids]
+            start = bisect_left(tape_rows, envelope, key=_row_position)
+            extension = [row for row in tape_rows[start:] if row[1] in unscheduled_ids]
             if not extension:
                 continue
             charge_switch = envelope == 0.0 and tape_id != self._mounted_id
@@ -562,29 +598,35 @@ class EnvelopeScheduler(Scheduler):
         )
         state = computer.compute(requests)
         block_mb = context.block_mb
-        catalog = context.catalog
 
         # For each tape: every request satisfiable within the upper
-        # envelope (a superset of the per-tape assignment).
+        # envelope (a superset of the per-tape assignment).  Those are
+        # the tape's pinned rows plus a prefix of its replicated rows
+        # (sorted by position); the bisect bound is slack
+        # (rounding-proof) and the scan applies the exact inequality.
         envelope_map = state.envelope
+        inside: Dict[int, List[_Row]] = {}
         satisfiable: Dict[int, List[Request]] = {}
-        for request in requests:
-            for replica in catalog.replicas_of(request.block_id):
-                if replica.position_mb + block_mb <= envelope_map.get(
-                    replica.tape_id, 0.0
-                ):
-                    satisfiable.setdefault(replica.tape_id, []).append(request)
+        for tape_id, tape_rows in enumerate(state.rows):
+            count = 0
+            if tape_rows:
+                limit = envelope_map[tape_id]
+                count = bisect_left(
+                    tape_rows, limit - 2.0 * block_mb, key=_row_position
+                )
+                total = len(tape_rows)
+                while count < total and tape_rows[count][0] + block_mb <= limit:
+                    count += 1
+            tape_inside = state.pinned[tape_id] + tape_rows[:count]
+            if tape_inside:
+                inside[tape_id] = tape_inside
+                satisfiable[tape_id] = [row[2] for row in tape_inside]
 
         def positions_for(tape_id: int) -> List[float]:
-            seen = set()
-            positions = []
-            for request in satisfiable.get(tape_id, ()):
-                if request.block_id in seen:
-                    continue
-                seen.add(request.block_id)
-                replica = catalog.replica_on(request.block_id, tape_id)
-                positions.append(replica.position_mb)
-            return positions
+            # One position per distinct block (coalesced reads).
+            return list(
+                {row[2].block_id: row[0] for row in inside.get(tape_id, ())}.values()
+            )
 
         selection = SelectionContext(
             timing=context.jukebox.timing,
@@ -600,9 +642,11 @@ class EnvelopeScheduler(Scheduler):
         if tape_id is None:  # pragma: no cover - envelope covers all requests
             return None
 
-        chosen = satisfiable[tape_id]
+        # The chosen tape's sweep, with its requests in arrival order.
+        chosen_rows = sorted(inside[tape_id], key=_row_arrival)
+        chosen = [row[2] for row in chosen_rows]
         context.pending.remove_many(chosen)
-        entries = coalesce_entries(chosen, tape_id, context.catalog)
+        entries = coalesce_entries(chosen, [row[0] for row in chosen_rows])
         self._active_envelope = dict(state.envelope)
         return MajorDecision(tape_id=tape_id, entries=entries)
 
@@ -615,52 +659,85 @@ class EnvelopeScheduler(Scheduler):
             return False
         block_mb = context.block_mb
         envelope = self._active_envelope
+        replicas = context.catalog.replicas_of(request.block_id)
+        on_mounted: Optional[Replica] = None
+        for replica in replicas:
+            if replica.tape_id == mounted:
+                on_mounted = replica
+                break
 
         # Satisfiable on the current tape within the upper envelope:
         # insert into the sweep as the dynamic incremental scheduler does.
-        if context.catalog.has_replica_on(request.block_id, mounted):
-            replica = context.catalog.replica_on(request.block_id, mounted)
-            if replica.position_mb + block_mb <= envelope.get(mounted, 0.0):
-                if insert_into_sweep(context, request):
-                    return True
-                context.pending.append(request)
-                return False
-
-        # Otherwise apply steps 3-5 for this single request: find the
-        # cheapest envelope extension covering it.
-        best_tape: Optional[int] = None
-        best_key: Optional[Tuple[float, int]] = None
-        best_replica: Optional[Replica] = None
-        rank = _rank_after(context.tape_count, mounted + 1)
-        for replica in context.catalog.replicas_of(request.block_id):
-            tape_envelope = envelope.get(replica.tape_id, 0.0)
-            if replica.position_mb + block_mb <= tape_envelope:
-                # Inside another tape's envelope: servicing it there needs
-                # no extension, so prefer that tape outright when no
-                # current-tape extension wins; treated as infinite
-                # incremental bandwidth.
-                key = (float("inf"), -rank[replica.tape_id])
-            else:
-                charge_switch = tape_envelope == 0.0 and replica.tape_id != mounted
-                tracker = ExtensionCostTracker(
-                    context.jukebox.timing, tape_envelope, block_mb, charge_switch
-                )
-                tracker.extend(replica.position_mb)
-                key = (tracker.prefix_bandwidth(), -rank[replica.tape_id])
-            if best_key is None or key > best_key:
-                best_key = key
-                best_tape = replica.tape_id
-                best_replica = replica
-
-        if best_tape == mounted and best_replica is not None:
-            if insert_into_sweep(context, request):
-                self._active_envelope[mounted] = max(
-                    self._active_envelope.get(mounted, 0.0),
-                    best_replica.position_mb + block_mb,
-                )
+        if (
+            on_mounted is not None
+            and on_mounted.position_mb + block_mb <= envelope.get(mounted, 0.0)
+        ):
+            if insert_at(service, request, on_mounted.position_mb):
                 return True
+            context.pending.append(request)
+            return False
+
+        # Otherwise apply steps 3-5 for this single request: the
+        # cheapest envelope extension covering it wins, and only a win
+        # on the mounted tape absorbs the request into the sweep.
+        if self._best_extension_tape(context, replicas) == mounted and insert_at(
+            service, request, on_mounted.position_mb
+        ):
+            envelope[mounted] = max(
+                envelope.get(mounted, 0.0), on_mounted.position_mb + block_mb
+            )
+            return True
         context.pending.append(request)
         return False
+
+    def _best_extension_tape(
+        self, context: SchedulerContext, replicas: Sequence[Replica]
+    ) -> Optional[int]:
+        """The tape whose one-block extension covering a copy is best.
+
+        Copies rank by ``(incremental bandwidth, -rank)``, ranks in
+        jukebox order after the mounted tape; a copy inside its tape's
+        envelope counts as infinite bandwidth.  An exact timing model is
+        priced with the flattened constants; any other model through an
+        :class:`ExtensionCostTracker` per copy (a noisy model draws
+        random numbers on each call, so every copy is priced).
+        """
+        mounted = context.mounted_id
+        block_mb = context.block_mb
+        timing = context.jukebox.timing
+        constants = extension_constants(timing, block_mb)
+        envelope = self._active_envelope
+        rank = _rank_after(context.tape_count, mounted + 1)
+        best_tape: Optional[int] = None
+        best_key: Optional[Tuple[float, int]] = None
+        for replica in replicas:
+            tape_id = replica.tape_id
+            tape_envelope = envelope.get(tape_id, 0.0)
+            if replica.position_mb + block_mb <= tape_envelope:
+                # Inside another tape's envelope: servicing it there needs
+                # no extension; treated as infinite incremental bandwidth.
+                bandwidth = float("inf")
+            else:
+                charge_switch = tape_envelope == 0.0 and tape_id != mounted
+                if constants is not None:
+                    bandwidth = extension_bandwidth(
+                        constants,
+                        tape_envelope,
+                        replica.position_mb,
+                        block_mb,
+                        constants.switch_s if charge_switch else 0.0,
+                    )
+                else:
+                    tracker = ExtensionCostTracker(
+                        timing, tape_envelope, block_mb, charge_switch
+                    )
+                    tracker.extend(replica.position_mb)
+                    bandwidth = tracker.prefix_bandwidth()
+            key = (bandwidth, -rank[tape_id])
+            if best_key is None or key > best_key:
+                best_key = key
+                best_tape = tape_id
+        return best_tape
 
     def on_sweep_complete(self, context: SchedulerContext) -> None:
         self._active_envelope = {}

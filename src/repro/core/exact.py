@@ -568,7 +568,9 @@ class _BatchScheduler(Scheduler):
             requests = candidates.get(tape_id)
             if not requests:
                 continue
-            entries = coalesce_entries(requests, tape_id, context.catalog)
+            entries = coalesce_entries(
+                requests, context.pending.positions_on(tape_id, requests)
+            )
             deferred = (total - float(len(requests))) * defer_scale
             if tape_id == mounted:
                 head = context.head_mb

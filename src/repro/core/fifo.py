@@ -28,15 +28,21 @@ class FifoScheduler(Scheduler):
         # copy over an unmounted one is plain I/O-stack behaviour.  The
         # fallback replica must be on a tape the pending list exposes
         # (multi-drive runs hide tapes claimed by other drives).
-        visible = context.pending.candidate_tapes()
+        pending = context.pending
         chosen = next(
             (replica for replica in replicas if replica.tape_id == context.mounted_id),
-            next(
-                (replica for replica in replicas if replica.tape_id in visible),
-                replicas[0],
-            ),
+            None,
         )
-        context.pending.remove_many([oldest])
+        if chosen is None:
+            chosen = next(
+                (
+                    replica
+                    for replica in replicas
+                    if pending.requests_for_tape(replica.tape_id)
+                ),
+                replicas[0],
+            )
+        pending.remove_many([oldest])
         entry = ServiceEntry(
             position_mb=chosen.position_mb,
             block_id=oldest.block_id,

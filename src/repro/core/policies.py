@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..tape.timing import DriveTimingModel
 from ..workload.requests import Request
-from .cost import effective_bandwidth
+from .cost import effective_bandwidths
 
 
 def jukebox_order(tape_count: int, start_at: int) -> List[int]:
@@ -102,17 +102,20 @@ class MaxBandwidth(TapeSelectionPolicy):
     name = "max-bandwidth"
 
     def select(self, context: SelectionContext) -> Optional[int]:
+        mounted_id = context.mounted_id
         best: Optional[int] = None
         best_bandwidth = -1.0
-        for tape_id in context.tapes_with_requests():
-            bandwidth = effective_bandwidth(
-                context.timing,
-                list(context.positions_for(tape_id)),
-                context.block_mb,
-                mounted=(tape_id == context.mounted_id),
-                head_mb=context.head_mb,
-                rewind_from_mb=context.head_mb if context.mounted_id is not None else 0.0,
-            )
+        for tape_id, bandwidth in effective_bandwidths(
+            context.timing,
+            (
+                (tape_id, context.positions_for(tape_id))
+                for tape_id in context.tapes_with_requests()
+            ),
+            context.block_mb,
+            mounted_id=mounted_id,
+            head_mb=context.head_mb,
+            rewind_from_mb=context.head_mb if mounted_id is not None else 0.0,
+        ):
             if bandwidth > best_bandwidth:
                 best, best_bandwidth = tape_id, bandwidth
         return best

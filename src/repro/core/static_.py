@@ -44,13 +44,11 @@ class StaticScheduler(Scheduler):
         return self._policy
 
     def _selection_context(self, context: SchedulerContext) -> SelectionContext:
-        candidates = context.pending.candidate_tapes()
+        pending = context.pending
+        candidates = pending.candidate_tapes()
 
         def positions_for(tape_id: int) -> List[float]:
-            return [
-                context.catalog.replica_on(request.block_id, tape_id).position_mb
-                for request in candidates.get(tape_id, ())
-            ]
+            return pending.positions_on(tape_id, candidates.get(tape_id, ()))
 
         return SelectionContext(
             timing=context.jukebox.timing,
@@ -60,7 +58,7 @@ class StaticScheduler(Scheduler):
             head_mb=context.head_mb,
             candidates=candidates,
             positions_for=positions_for,
-            oldest=context.pending.oldest(),
+            oldest=pending.oldest(),
         )
 
     def major_reschedule(self, context: SchedulerContext) -> Optional[MajorDecision]:
@@ -71,6 +69,6 @@ class StaticScheduler(Scheduler):
         if tape_id is None:
             return None
         chosen = selection.candidates[tape_id]
+        entries = coalesce_entries(chosen, selection.positions_for(tape_id))
         context.pending.remove_many(chosen)
-        entries = coalesce_entries(chosen, tape_id, context.catalog)
         return MajorDecision(tape_id=tape_id, entries=entries)

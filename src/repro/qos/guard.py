@@ -80,10 +80,10 @@ class StarvationGuardScheduler(Scheduler):
                 best_requests = requests
         if best_tape is None:
             return None
-        context.pending.remove_many(best_requests)
         entries: List[ServiceEntry] = coalesce_entries(
-            best_requests, best_tape, context.catalog
+            best_requests, context.pending.positions_on(best_tape, best_requests)
         )
+        context.pending.remove_many(best_requests)
         return MajorDecision(tape_id=best_tape, entries=entries, forced=True)
 
     # ------------------------------------------------------------------

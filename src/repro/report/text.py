@@ -104,8 +104,9 @@ def format_gap_report(report) -> str:
         f"  {row.scenario.key}: {row.scenario.description}" for row in report.rows
     )
     return (
-        f"Optimality gap vs {report.baseline}"
-        " (ratio = mean response / baseline mean response; 1.0 = optimal)\n"
+        f"Gap vs {report.baseline}"
+        " (ratio = mean response / baseline mean response;"
+        f" 1.0 = the {report.baseline} baseline)\n"
         f"{table}\nscenarios:\n{legend}"
     )
 

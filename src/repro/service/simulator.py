@@ -50,7 +50,7 @@ branch is skipped outright.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..core.base import MajorDecision, SchedulerContext
 from ..core.envelope import EnvelopeScheduler
@@ -133,6 +133,10 @@ class ClaimFilteredPending(PendingList):
         if not self._visible(tape_id):
             return []
         return self._inner.requests_for_tape(tape_id)
+
+    def positions_on(self, tape_id: int, requests: Iterable[Request]) -> List[float]:
+        """Where each of ``requests`` has its copy on ``tape_id``."""
+        return self._inner.positions_on(tape_id, requests)
 
     def candidate_tapes(self) -> Dict[int, List[Request]]:
         """Per-tape pending requests, excluding other drives' claims."""

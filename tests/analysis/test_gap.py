@@ -116,3 +116,8 @@ class TestComputeGap:
         assert "tiny" in text
         assert "fifo" in text
         assert "exact-batch" in text
+        # The baseline is a best-found order (budget-cut on some
+        # decisions), so the header must not call it optimal.
+        header = text.splitlines()[0]
+        assert "optimal" not in header.lower()
+        assert "1.0 = the exact-batch baseline" in header

@@ -80,3 +80,39 @@ class TestPendingList:
         for request in requests:
             pending.append(request)
         assert list(pending) == requests
+
+    def test_positions_on_is_aligned_with_the_tape_requests(self, pending, factory):
+        replicated = factory.create(block_id=0, arrival_s=0.0)
+        tape0_only = factory.create(block_id=1, arrival_s=1.0)
+        again = factory.create(block_id=0, arrival_s=2.0)
+        for request in (replicated, tape0_only, again):
+            pending.append(request)
+        on_tape0 = pending.requests_for_tape(0)
+        assert pending.positions_on(0, on_tape0) == [0.0, 16.0, 0.0]
+        assert pending.positions_on(1, pending.requests_for_tape(1)) == [16.0, 16.0]
+        assert pending.positions_on(2, []) == []
+
+    def test_index_built_late_matches_one_kept_from_the_start(self, catalog, factory):
+        """The by-tape index appears at the first by-tape query."""
+        requests = [
+            factory.create(block_id=index % 3, arrival_s=index) for index in range(7)
+        ]
+        early = PendingList(catalog)
+        early.candidate_tapes()  # index kept from the first append
+        late = PendingList(catalog)
+        for request in requests:
+            early.append(request)
+            late.append(request)
+        early.remove_many(requests[1:3])
+        late.remove_many(requests[1:3])
+        assert late.candidate_tapes() == early.candidate_tapes()
+        for tape_id in (0, 1, 2):
+            on_tape = late.requests_for_tape(tape_id)
+            assert on_tape == early.requests_for_tape(tape_id)
+            assert late.positions_on(tape_id, on_tape) == early.positions_on(
+                tape_id, on_tape
+            )
+        late.remove_many(requests[3:5])
+        early.remove_many(requests[3:5])
+        assert late.candidate_tapes() == early.candidate_tapes()
+        assert late.oldest() is early.oldest() is requests[0]

@@ -1,8 +1,10 @@
 """Unit tests for the metrics collector."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service import MetricsCollector
+from repro.stats import Histogram, RunningStats, TimeWeightedStats
 from repro.workload import Request
 
 
@@ -312,3 +314,98 @@ class TestQoSHooks:
         assert 0.0 < report.p50_response_s <= report.p95_response_s
         assert report.p95_response_s <= report.p99_response_s
         assert report.p99_response_s <= report.max_response_s
+
+
+# ----------------------------------------------------------------------
+# The report equals accumulators fed directly, sample by sample
+# ----------------------------------------------------------------------
+def replay(ops, warmup_s):
+    """Drive a collector and per-sample reference accumulators alike.
+
+    ``ops`` is a list of ``(kind, dt, pick, service_s)``; returns the
+    collector's report and the references ``(response, histogram,
+    waiting, queue)`` built with the per-sample ``add``/``update``.
+    """
+    metrics = MetricsCollector(block_mb=16.0, warmup_s=warmup_s)
+    response, histogram, waiting = RunningStats(), Histogram(bin_width=10.0), RunningStats()
+    queue = TimeWeightedStats()
+    outstanding = []
+    now = 0.0
+    next_id = 0
+    for kind, dt, pick, service_s in ops:
+        now += dt
+        if kind == "arrive" or not outstanding:
+            request = make_request(request_id=next_id, arrival_s=now)
+            next_id += 1
+            outstanding.append(request)
+            metrics.on_arrival(request, now)
+            queue.update(now, len(outstanding))
+            continue
+        request = outstanding.pop(pick % len(outstanding))
+        if kind == "complete":
+            metrics.on_completion(request, now, service_s=service_s)
+            if now >= warmup_s:
+                response.add(request.response_s)
+                histogram.add(request.response_s)
+                if service_s is not None:
+                    waiting.add(max(0.0, request.response_s - service_s))
+        elif kind == "fail":
+            metrics.on_request_failed(request, now)
+        elif kind == "shed":
+            metrics.on_shed(request, now, reason="queue-full")
+        else:
+            metrics.on_expired(request, now)
+        queue.update(now, len(outstanding))
+    end = now + 1.0
+    metrics.finalize(end)
+    queue.finalize(end)
+    return metrics.report(), (response, histogram, waiting, queue)
+
+
+def assert_matches_reference(report, reference):
+    response, histogram, waiting, queue = reference
+    assert report.completed == response.count
+    assert report.mean_response_s == response.mean
+    assert report.max_response_s == response.maximum
+    assert report.mean_waiting_s == waiting.mean
+    assert report.mean_queue_length == queue.mean
+    if histogram.count:
+        assert report.p50_response_s == histogram.percentile(0.50)
+        assert report.p95_response_s == histogram.percentile(0.95)
+        assert report.p99_response_s == histogram.percentile(0.99)
+
+
+hook_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["arrive", "arrive", "complete", "complete", "fail", "shed", "expire"]
+        ),
+        st.sampled_from([0.0, 0.1, 7.5]) | st.floats(0.0, 500.0, allow_nan=False),
+        st.integers(min_value=0, max_value=50),
+        st.none() | st.floats(0.0, 200.0, allow_nan=False),
+    ),
+    max_size=120,
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=hook_ops, warmup_s=st.sampled_from([0.0, 100.0, 1e9]))
+    def test_report_equals_per_sample_reference(self, ops, warmup_s):
+        report, reference = replay(ops, warmup_s)
+        assert_matches_reference(report, reference)
+
+    @pytest.mark.parametrize(
+        "hook", ["on_arrival", "on_completion", "on_shed", "on_expired"]
+    )
+    def test_time_going_backwards_still_raises(self, hook):
+        metrics = MetricsCollector(block_mb=16.0)
+        first = make_request(request_id=0, arrival_s=0.0)
+        second = make_request(request_id=1, arrival_s=0.0)
+        metrics.on_arrival(first, 0.0)
+        metrics.on_arrival(second, 10.0)
+        with pytest.raises(ValueError, match="backwards"):
+            if hook == "on_arrival":
+                metrics.on_arrival(make_request(request_id=2), 5.0)
+            else:
+                getattr(metrics, hook)(first, 5.0)

@@ -81,6 +81,12 @@ CASES = {
     "fig4_exact_batch": FIG4.with_(scheduler="exact-batch"),
     "fig4_approx_greedy_cost": FIG4.with_(scheduler="approx-greedy-cost"),
     "fig4_approx_best_pass": FIG4.with_(scheduler="approx-best-pass"),
+    # The step-3 and on_arrival tracker fallback (non-exact timing model).
+    "fig8_envelope_serpentine": FIG8.with_(drive_technology="serpentine"),
+    # The oldest-first filter in front of MaxBandwidth.
+    "fig4_dynamic_oldest_max_bandwidth": FIG4.with_(
+        scheduler="dynamic-oldest-max-bandwidth"
+    ),
 }
 
 #: sha256 of each case's report, pinned on the pre-optimization tree.
@@ -100,6 +106,9 @@ GOLDEN = {
     "fig4_exact_batch": "c149b3b26b387e8923931e3bb06d504fff6fa15a83de5abcb47aa8a165b56b3a",
     "fig4_approx_greedy_cost": "bac0e5590567174a28530f5a53fb0ddc6c1c926b861de0cc5012757d5dedf8cd",
     "fig4_approx_best_pass": "80024f04ff6ad040a441230f5509d2a6bd186a1c94a433223a229802f54b483b",
+    # Pinned before the per-request path was flattened, to guard it.
+    "fig8_envelope_serpentine": "976f510b3eb1f68ad323a824e640d091841543329f3b81d844bc041285336429",
+    "fig4_dynamic_oldest_max_bandwidth": "cdbe34648905bd5a589c0293b095778008a522a251bcc3d798c08eb6301341d6",
 }
 
 
